@@ -149,54 +149,22 @@ let boundaries ~scale:s =
   | _last :: rest -> Array.of_list (List.rev_map (fun p -> p.ph_until_ms) rest)
 
 type capture = {
+  run : Capture.t;
   scale : scale;
   arm : arm;
   cluster : Samya.Cluster.t;
   offered : int;
-  sink : Obs.Sink.t option;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
   final_mechanism : string;  (* the home site's mechanism at the end *)
-  flight : Obs.Flight_recorder.t;  (* always-on black box *)
-  hot : Obs.Heavy_hitters.Windowed.w;  (* request-path hot-key sketch *)
-  incidents : Obs.Watchdog.incident list;
 }
 
 let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
   let s = scale ~quick in
-  let hooks = Facade.samya_hooks () in
-  let engine_jobs =
-    match engine_jobs with Some n -> n | None -> Pool.engine_jobs ()
-  in
   let regions = Exp_common.client_regions () in
-  let cluster =
-    Samya.Cluster.create ~seed:Exp_common.seed ~engine_jobs
-      ~config:(config ~policy:arm.a_policy) ~regions
-      ~on_protocol_event:(Facade.protocol_event_hook hooks)
-      ~obs:(Facade.obs_port hooks) ()
+  let cluster, t_system =
+    Systems.samya_cluster ~seed:Exp_common.seed ?engine_jobs ~name:"Samya contention"
+      ~config:(config ~policy:arm.a_policy) ~regions ~entity ()
   in
   Samya.Cluster.init_entity cluster ~entity ~maximum:s.quota;
-  let t_system =
-    Facade.of_samya_cluster ~name:"Samya contention" ~hooks ~regions ~entity
-      cluster
-  in
-  let sink =
-    if observe then begin
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      Some sink
-    end
-    else None
-  in
-  (* The always-on incident layer: mechanism switches land in the
-     recorder, so the watchdog's flap rule watches the controller. *)
-  let flight = Obs.Flight_recorder.create () in
-  let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:2_000.0 () in
-  t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-  let slo = Obs.Slo.create ~window_ms:2_000.0 () in
   let requests = requests ~scale:s in
   let spec =
     {
@@ -206,29 +174,27 @@ let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
       drain_ms = 10_000.0;
       window_ms = 1_000.0;
       grant_driven_release_ms = Some s.hold_ms;
-      obs = sink;
-      slo = Some slo;
-      flight = Some flight;
       phases = boundaries ~scale:s;
     }
   in
-  let result = Driver.run ~t_system spec in
+  (* Mechanism switches land in the flight recorder, so the watchdog's
+     flap rule watches the controller. *)
+  let run =
+    Capture.run
+      ~label:(Printf.sprintf "Samya skew ramp (%s)" arm.a_label)
+      ~observe ~hot_k:8 ~hot_window_ms:2_000.0 ~slo_window_ms:2_000.0 ~audit:ignore
+      t_system spec
+  in
   {
+    run;
     scale = s;
     arm;
     cluster;
     offered = Array.length requests;
-    sink;
-    slo;
-    result;
-    stats = t_system.Systems.stats ();
     final_mechanism =
       (match Samya.Site.mechanism (Samya.Cluster.site cluster home) ~entity with
       | Some m -> Samya.Config.Controller.mechanism_name m
       | None -> "-");
-    flight;
-    hot;
-    incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
   }
 
 (* Per-phase view: committed txn/s over the phase's wall time, p99 of
@@ -241,7 +207,7 @@ let phase_rows c =
   in
   List.mapi
     (fun i p ->
-      let stats = c.result.Driver.by_phase.(i) in
+      let stats = c.run.Capture.result.Driver.by_phase.(i) in
       let dur_s = (p.ph_until_ms -. starts.(i)) /. 1000.0 in
       {
         v_name = p.ph_name;
@@ -348,7 +314,7 @@ let run _ctx ~quick fmt =
     ~rows:
       (List.map
          (fun c ->
-           let r = c.result in
+           let r = c.run.Capture.result in
            [
              c.arm.a_label;
              string_of_int c.offered;
@@ -356,9 +322,9 @@ let run _ctx ~quick fmt =
              string_of_int r.Driver.rejected;
              Report.ms (Driver.percentile r 50.0);
              Report.ms (Driver.percentile r 99.0);
-             string_of_int c.stats.Systems.redistributions;
-             string_of_int c.stats.Systems.borrows;
-             string_of_int c.stats.Systems.mechanism_switches;
+             string_of_int c.run.Capture.stats.Systems.redistributions;
+             string_of_int c.run.Capture.stats.Systems.borrows;
+             string_of_int c.run.Capture.stats.Systems.mechanism_switches;
              c.final_mechanism;
            ])
          captures);
@@ -385,7 +351,7 @@ let run _ctx ~quick fmt =
     (List.map
        (fun c ->
          ( c.arm.a_label,
-           Stats.Throughput.series c.result.Driver.throughput
+           Stats.Throughput.series c.run.Capture.result.Driver.throughput
              ~until_ms:(s.duration_ms -. 1.0) () ))
        captures);
   (* The verdict: adaptive vs the best static, per phase, both axes. *)
@@ -408,7 +374,7 @@ let run _ctx ~quick fmt =
   (* SLO + abort attribution per arm. *)
   List.iter
     (fun c ->
-      let lines = Obs.Slo.report c.slo in
+      let lines = Obs.Slo.report c.run.Capture.slo in
       Format.fprintf fmt "%s: SLO %s@." c.arm.a_label
         (if Obs.Slo.healthy lines then "healthy" else "VIOLATED"))
     captures;
@@ -416,37 +382,28 @@ let run _ctx ~quick fmt =
      ledger-to-ledger and must never mint or leak. *)
   List.iter
     (fun c ->
-      match Samya.Cluster.check_invariant c.cluster ~entity ~maximum:s.quota with
-      | Ok () -> Format.fprintf fmt "token conservation (%s): OK@." c.arm.a_label
-      | Error reason ->
-          Format.fprintf fmt "token conservation (%s): VIOLATED: %s@."
-            c.arm.a_label reason)
+      Capture.pp_conservation fmt ~label:c.arm.a_label
+        (Samya.Cluster.check_invariant c.cluster ~entity ~maximum:s.quota))
     captures;
   (* The adaptive arm's controller decisions, straight from the black
      box: when it switched, from what, to what — the attribution a
      post-incident review starts from. *)
   (match List.find_opt (fun c -> c.arm.a_id = "adaptive") captures with
   | None -> ()
-  | Some c ->
+  | Some { run = c; _ } ->
       let switches =
         List.filter
           (fun (ev : Obs.Flight_recorder.event) ->
             ev.Obs.Flight_recorder.kind = Obs.Flight_recorder.Mech)
-          (Obs.Flight_recorder.events c.flight)
+          (Obs.Flight_recorder.events c.Capture.flight)
       in
       Format.fprintf fmt "@.mechanism timeline (adaptive, flight recorder):@.";
       List.iter
         (fun ev -> Format.fprintf fmt "  %s@." (Obs.Flight_recorder.line ev))
         switches;
-      let by_rule =
-        match Obs.Watchdog.count_by_rule c.incidents with
-        | [] -> "none"
-        | pairs ->
-            String.concat ", "
-              (List.map (fun (r, n) -> Printf.sprintf "%s %d" r n) pairs)
-      in
       Format.fprintf fmt
         "flight recorder: %d events recorded (%d dropped), watchdog incidents: %d (%s)@."
-        (Obs.Flight_recorder.recorded c.flight)
-        (Obs.Flight_recorder.dropped c.flight)
-        (List.length c.incidents) by_rule)
+        (Obs.Flight_recorder.recorded c.Capture.flight)
+        (Obs.Flight_recorder.dropped c.Capture.flight)
+        (List.length c.Capture.incidents)
+        (Capture.by_rule ~none:"none" c.Capture.incidents))

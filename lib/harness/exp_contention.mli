@@ -38,19 +38,12 @@ val arms : arm list
 (** The four policies, in report order; the adaptive arm is last. *)
 
 type capture = {
+  run : Capture.t;  (** labelled "Samya skew ramp (<arm label>)" *)
   scale : scale;
   arm : arm;
   cluster : Samya.Cluster.t;
   offered : int;
-  sink : Obs.Sink.t option;  (** present when captured with [~observe] *)
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
   final_mechanism : string;  (** the home site's mechanism at the end *)
-  flight : Obs.Flight_recorder.t;  (** the always-on black box *)
-  hot : Obs.Heavy_hitters.Windowed.w;  (** request-path hot-key sketch *)
-  incidents : Obs.Watchdog.incident list;
-      (** watchdog verdict over the recorder dump, default rules *)
 }
 
 val capture :

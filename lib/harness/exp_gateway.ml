@@ -90,103 +90,59 @@ let config ~scale =
     entity_capacity = scale.keys;
   }
 
-let build ?engine_jobs ~scale ~quotas () =
-  let hooks = Facade.samya_hooks () in
-  let engine_jobs =
-    match engine_jobs with Some n -> n | None -> Pool.engine_jobs ()
-  in
-  let regions = Exp_common.client_regions () in
-  let cluster =
-    Samya.Cluster.create ~seed:Exp_common.seed ~engine_jobs
-      ~config:(config ~scale) ~regions
-      ~on_protocol_event:(Facade.protocol_event_hook hooks)
-      ~obs:(Facade.obs_port hooks) ()
-  in
-  Samya.Cluster.register_entities cluster
-    (List.init scale.keys (fun r -> (key_name r, quotas.(r))));
-  let t_system =
-    Facade.of_samya_cluster ~name:"Samya gateway fleet" ~hooks ~regions
-      ~entity:(key_name 0) cluster
-  in
-  (cluster, t_system)
-
 let requests ~scale zipf =
   let rng = Des.Rng.stream Exp_common.seed 1009 in
   Trace.Workload.gateway ~rng ~zipf ~key_name ~key_home ~n_clients:n_sites
     ~rate_per_s:scale.rate_per_s ~duration_ms:scale.duration_ms ~read_ratio ()
 
 type capture = {
+  run : Capture.t;
   scale : scale;
   quotas : int array;
   cluster : Samya.Cluster.t;
   offered : int;  (* requests in the stream *)
-  sink : Obs.Sink.t option;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  hot : int;
-  stats : Systems.stats;
-  flight : Obs.Flight_recorder.t;  (* always-on black box *)
-  hotkeys : Obs.Heavy_hitters.Windowed.w;
-      (* request-path Misra-Gries sketch: gateway-scale hot-key telemetry
-         without per-key driver attribution *)
-  incidents : Obs.Watchdog.incident list;
+  hot_entities : int;
 }
 
 let capture ?engine_jobs ?(observe = false) ~quick () =
   let scale = scale ~quick in
   let zipf = Trace.Zipf.create scale.keys in
   let quotas = quotas ~scale zipf in
-  let cluster, t_system = build ?engine_jobs ~scale ~quotas () in
-  let sink =
-    if observe then begin
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      Some sink
-    end
-    else None
+  let cluster, t_system =
+    Systems.samya_cluster ~seed:Exp_common.seed ?engine_jobs
+      ~name:"Samya gateway fleet" ~config:(config ~scale)
+      ~regions:(Exp_common.client_regions ()) ~entity:(key_name 0) ()
   in
-  (* The always-on incident layer: at a million keys the per-key driver
-     attribution is the expensive path — the sketch tracks the hot head
-     in O(k) from the request path itself. *)
-  let flight = Obs.Flight_recorder.create () in
-  let hotkeys = Obs.Heavy_hitters.Windowed.create ~k:16 ~window_ms:2_000.0 () in
-  t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hotkeys };
-  (* 2 s tumbling windows: the cold-start transient (shares chasing the
-     home-skewed demand) lands in the first window or two and the
-     steady-state windows show the converged fleet. *)
-  let slo = Obs.Slo.create ~window_ms:2_000.0 () in
+  Samya.Cluster.register_entities cluster
+    (List.init scale.keys (fun r -> (key_name r, quotas.(r))));
   let requests = requests ~scale zipf in
-  let clients = Exp_common.client_regions () in
   let spec =
     {
-      (Driver.default_spec ~client_regions:clients ~requests
+      (Driver.default_spec ~client_regions:(Exp_common.client_regions ()) ~requests
          ~duration_ms:scale.duration_ms)
       with
       drain_ms = 10_000.0;
       window_ms = 1_000.0;
       grant_driven_release_ms = Some scale.hold_ms;
-      obs = sink;
-      slo = Some slo;
-      flight = Some flight;
       track_entities = true;
     }
   in
-  let result = Driver.run ~t_system spec in
+  (* At a million keys the per-key driver attribution is the expensive
+     path: the hot-key sketch tracks the hot head in O(k) from the request
+     path itself. 2 s SLO windows: the cold-start transient (shares
+     chasing the home-skewed demand) lands in the first window or two and
+     the steady-state windows show the converged fleet. *)
+  let run =
+    Capture.run ~label:"Samya gateway fleet" ~observe ~hot_k:16 ~hot_window_ms:2_000.0
+      ~slo_window_ms:2_000.0 ~audit:ignore t_system spec
+  in
   {
+    run;
     scale;
     quotas;
     cluster;
     offered = Array.length requests;
-    sink;
-    slo;
-    result;
-    hot = Samya.Cluster.hot_entities cluster;
-    stats = t_system.Systems.stats ();
-    flight;
-    hotkeys;
-    incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
+    hot_entities = Samya.Cluster.hot_entities cluster;
   }
 
 (* Token conservation, key by key: Equation 1 against each key's own
@@ -208,8 +164,6 @@ let audit c =
     c.quotas;
   (Array.length c.quotas - !bad, List.rev !violations)
 
-let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
-
 let run _ctx ~quick fmt =
   let c = capture ~quick () in
   let conserved, violations = audit c in
@@ -217,22 +171,22 @@ let run _ctx ~quick fmt =
     "@.== gateway fleet: %d keys, %.0f req/s offered (Zipf 0.99, %.0f s) ==@."
     c.scale.keys c.scale.rate_per_s
     (c.scale.duration_ms /. 1000.0);
-  let r = c.result in
+  let r = c.run.Capture.result in
   let counted = r.Driver.committed + r.Driver.rejected + r.Driver.unavailable in
   Report.kv fmt
     [
       ("registered keys", string_of_int (Samya.Cluster.entity_count c.cluster));
       ( "hot keys after run",
-        Printf.sprintf "%d (%s of fleet, summed over %d sites)" c.hot
-          (pct (float_of_int c.hot /. float_of_int (n_sites * c.scale.keys)))
+        Printf.sprintf "%d (%s of fleet, summed over %d sites)" c.hot_entities
+          (Report.pct (float_of_int c.hot_entities /. float_of_int (n_sites * c.scale.keys)))
           n_sites );
       ("protocol batch", string_of_int c.scale.batch);
       ("entity shards/site", string_of_int c.scale.shards);
       ("offered requests", string_of_int c.offered);
       ( "counted replies",
         Printf.sprintf "%d (%d no-reply)" counted r.Driver.no_reply );
-      ("redistributions", string_of_int c.stats.Systems.redistributions);
-      ("messages sent", string_of_int c.stats.Systems.messages_sent);
+      ("redistributions", string_of_int c.run.Capture.stats.Systems.redistributions);
+      ("messages sent", string_of_int c.run.Capture.stats.Systems.messages_sent);
     ];
   Report.table fmt ~title:"gateway fleet: outcomes and latency"
     ~header:[ "committed"; "rejected"; "unavailable"; "avg tps"; "p50"; "p95"; "p99" ]
@@ -288,7 +242,7 @@ let run _ctx ~quick fmt =
      (acquires, releases, reads, before shedding), so estimates sit above
      the committed column; the Misra-Gries bound guarantees
      estimate <= true <= estimate + err. *)
-  let sketch = Obs.Heavy_hitters.Windowed.cumulative c.hotkeys in
+  let sketch = Obs.Heavy_hitters.Windowed.cumulative c.run.Capture.hot in
   Report.table fmt
     ~title:"hot-key telemetry (request-path Misra-Gries sketch, k=16)"
     ~header:[ "key"; "estimate"; "+err"; "committed (exact)" ]
@@ -306,33 +260,17 @@ let run _ctx ~quick fmt =
          (Obs.Heavy_hitters.top ~n:8 sketch));
   Format.fprintf fmt
     "flight recorder: %d events recorded (%d dropped), watchdog incidents: %d@."
-    (Obs.Flight_recorder.recorded c.flight)
-    (Obs.Flight_recorder.dropped c.flight)
-    (List.length c.incidents);
+    (Obs.Flight_recorder.recorded c.run.Capture.flight)
+    (Obs.Flight_recorder.dropped c.run.Capture.flight)
+    (List.length c.run.Capture.incidents);
   (* The samya-slo/1 report (rendered; `slo gateway --out` writes the JSON). *)
-  let lines = Obs.Slo.report c.slo in
+  let lines = Obs.Slo.report c.run.Capture.slo in
   Report.table fmt
     ~title:
       (if Obs.Slo.healthy lines then "SLO (samya-slo/1): healthy"
        else "SLO (samya-slo/1): VIOLATED")
     ~header:[ "objective"; "target"; "windows"; "violations"; "overall" ]
-    ~rows:
-      (List.map
-         (fun (l : Obs.Slo.report_line) ->
-           let value v =
-             if Float.is_nan v then "-"
-             else if l.Obs.Slo.kind = "latency" then Report.ms v
-             else pct v
-           in
-           [
-             l.Obs.Slo.name;
-             (if l.Obs.Slo.kind = "latency" then Report.ms l.Obs.Slo.target
-              else pct l.Obs.Slo.target);
-             string_of_int l.Obs.Slo.windows;
-             string_of_int l.Obs.Slo.violations;
-             value l.Obs.Slo.overall;
-           ])
-         lines);
+    ~rows:(Capture.slo_rows c.run);
   (* Conservation, key by key. *)
   if violations = [] then
     Format.fprintf fmt "token conservation: all %d keys audited OK@." conserved

@@ -25,21 +25,12 @@ val key_name : int -> string
 (** Key of popularity rank [r] (0 = hottest). *)
 
 type capture = {
+  run : Capture.t;  (** includes the per-key [by_entity] driver stats *)
   scale : scale;
   quotas : int array;  (** per-rank quota (Little's law) *)
   cluster : Samya.Cluster.t;
   offered : int;  (** requests in the generated stream *)
-  sink : Obs.Sink.t option;  (** present when captured with [~observe] *)
-  slo : Obs.Slo.t;
-  result : Driver.result;  (** includes the per-key [by_entity] stats *)
-  hot : int;  (** materialised hot entities, summed over sites *)
-  stats : Systems.stats;
-  flight : Obs.Flight_recorder.t;  (** the always-on black box *)
-  hotkeys : Obs.Heavy_hitters.Windowed.w;
-      (** request-path Misra-Gries sketch — the O(k) hot-key telemetry
-          that scales where per-key driver attribution cannot *)
-  incidents : Obs.Watchdog.incident list;
-      (** watchdog verdict over the recorder dump, default rules *)
+  hot_entities : int;  (** materialised hot entities, summed over sites *)
 }
 
 val capture : ?engine_jobs:int -> ?observe:bool -> quick:bool -> unit -> capture

@@ -163,66 +163,28 @@ let requests ~scale:s =
     ~spike_start_ms:s.spike_start_ms ~spike_end_ms:s.spike_end_ms
     ~duration_ms:s.duration_ms ~home_affinity ()
 
-let build ?engine_jobs ~scale:s ~admission () =
-  let hooks = Facade.samya_hooks () in
-  let engine_jobs =
-    match engine_jobs with Some n -> n | None -> Pool.engine_jobs ()
-  in
-  let regions = Exp_common.client_regions () in
-  let cluster =
-    Samya.Cluster.create ~seed:Exp_common.seed ~engine_jobs
-      ~config:(config ~scale:s ~admission) ~regions
-      ~on_protocol_event:(Facade.protocol_event_hook hooks)
-      ~obs:(Facade.obs_port hooks) ()
-  in
-  Samya.Cluster.init_entity cluster ~entity ~maximum:s.quota;
-  let t_system =
-    Facade.of_samya_cluster ~name:"Samya flash sale" ~hooks ~regions ~entity
-      cluster
-  in
-  (cluster, t_system)
-
 type capture = {
+  run : Capture.t;
   scale : scale;
   arm : arm;
   cluster : Samya.Cluster.t;
   offered : int;  (* requests in the stream (before any retries) *)
-  sink : Obs.Sink.t option;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
   shed_deadline : int;  (* dead-on-arrival sheds, summed over sites *)
   shed_admission : int;  (* admission-gate sheds, summed over sites *)
   shed_expired : int;  (* queue entries expired while parked *)
   queue_peak : int;  (* per-entity queue high-water mark, max over sites *)
   breaker_trips : int;  (* circuit-breaker openings, summed over sites *)
-  flight : Obs.Flight_recorder.t;  (* always-on black box *)
-  hot : Obs.Heavy_hitters.Windowed.w;
-  incidents : Obs.Watchdog.incident list;
 }
 
 let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
   let s = scale ~quick in
-  let cluster, t_system = build ?engine_jobs ~scale:s ~admission:arm.a_admission () in
-  let sink =
-    if observe then begin
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      Some sink
-    end
-    else None
+  let cluster, t_system =
+    Systems.samya_cluster ~seed:Exp_common.seed ?engine_jobs ~name:"Samya flash sale"
+      ~config:(config ~scale:s ~admission:arm.a_admission)
+      ~regions:(Exp_common.client_regions ()) ~entity ()
   in
-  (* The always-on incident layer: every arm flies with the recorder and
-     the request-path hot-key sketch armed. *)
-  let flight = Obs.Flight_recorder.create () in
-  let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:2_000.0 () in
-  t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-  (* 2 s windows resolve the spike, the outage and the recovery ramp. *)
-  let slo = Obs.Slo.create ~window_ms:2_000.0 () in
+  Samya.Cluster.init_entity cluster ~entity ~maximum:s.quota;
   let requests = requests ~scale:s in
-  let clients = Exp_common.client_regions () in
   let fault =
     Chaos.Nemesis.spike_partition ~site:home ~n_sites ~at_ms:s.partition_at_ms
       ~heal_ms:s.partition_heal_ms ~duration_ms:s.duration_ms
@@ -247,7 +209,7 @@ let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
   in
   let spec =
     {
-      (Driver.default_spec ~client_regions:clients ~requests
+      (Driver.default_spec ~client_regions:(Exp_common.client_regions ()) ~requests
          ~duration_ms:s.duration_ms)
       with
       drain_ms = 10_000.0;
@@ -255,24 +217,29 @@ let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
       events;
       client_timeout_ms = s.timeout_ms;
       grant_driven_release_ms = Some s.hold_ms;
-      obs = sink;
-      slo = Some slo;
-      flight = Some flight;
       track_entities = true;
       retry = arm.a_retry;
       deadline_budget_ms = (if arm.a_admission then s.timeout_ms else infinity);
     }
   in
-  let result = Driver.run ~t_system spec in
   (* Auditor failures become recorder events too, so the watchdog's
      invariant rule sees them. (The figure re-checks and prints below.) *)
-  (match Samya.Cluster.check_invariant cluster ~entity ~maximum:s.quota with
-  | Ok () -> ()
-  | Error reason ->
-      Obs.Flight_recorder.record flight ~lane:(-1)
-        ~ts:(Samya.Cluster.now cluster) ~kind:Obs.Flight_recorder.Invariant
-        ~entity reason);
-  let incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight) in
+  let audit flight =
+    match Samya.Cluster.check_invariant cluster ~entity ~maximum:s.quota with
+    | Ok () -> ()
+    | Error reason ->
+        Obs.Flight_recorder.record flight ~lane:(-1)
+          ~ts:(Samya.Cluster.now cluster) ~kind:Obs.Flight_recorder.Invariant
+          ~entity reason
+  in
+  (* Every arm flies with the recorder and the hot-key sketch armed; 2 s
+     SLO windows resolve the spike, the outage and the recovery ramp. *)
+  let run =
+    Capture.run
+      ~label:(Printf.sprintf "Samya flash sale (%s)" arm.a_label)
+      ~observe ~hot_k:8 ~hot_window_ms:2_000.0 ~slo_window_ms:2_000.0 ~audit
+      t_system spec
+  in
   let sum f =
     Array.fold_left (fun acc site -> acc + f site) 0 (Samya.Cluster.sites cluster)
   in
@@ -282,29 +249,23 @@ let capture ?engine_jobs ?(observe = false) ~quick ~arm () =
       0 (Samya.Cluster.sites cluster)
   in
   {
+    run;
     scale = s;
     arm;
     cluster;
     offered = Array.length requests;
-    sink;
-    slo;
-    result;
-    stats = t_system.Systems.stats ();
     shed_deadline = sum Samya.Site.shed_deadline;
     shed_admission = sum Samya.Site.shed_admission;
     shed_expired = sum Samya.Site.shed_queue_expired;
     queue_peak = peak (fun site -> Samya.Site.queue_peak site ~entity);
     breaker_trips = sum (fun site -> Samya.Site.breaker_trips site ~entity);
-    flight;
-    hot;
-    incidents;
   }
 
 (* Mean committed throughput over [from_ms, until_ms), from the driver's
    1 s windows. *)
 let goodput c ~from_ms ~until_ms =
   let wins =
-    Stats.Throughput.series c.result.Driver.throughput
+    Stats.Throughput.series c.run.Capture.result.Driver.throughput
       ~until_ms:(c.scale.duration_ms -. 1.0) ()
   in
   let sum = ref 0.0 and n = ref 0 in
@@ -323,8 +284,6 @@ let recovery c =
   let ratio = if pre > 0.0 then post /. pre else Float.nan in
   (pre, post, ratio)
 
-let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
-
 let run _ctx ~quick fmt =
   let s = scale ~quick in
   Format.fprintf fmt
@@ -338,7 +297,7 @@ let run _ctx ~quick fmt =
   Report.kv fmt
     [
       ("entity / quota", Printf.sprintf "%s / %d tokens over %d sites" entity s.quota n_sites);
-      ("home affinity", pct home_affinity);
+      ("home affinity", Report.pct home_affinity);
       ("grant lifetime", Report.ms s.hold_ms);
       ("client timeout", Report.ms s.timeout_ms);
       ( "goodput windows",
@@ -356,7 +315,7 @@ let run _ctx ~quick fmt =
     ~rows:
       (List.map
          (fun c ->
-           let r = c.result in
+           let r = c.run.Capture.result in
            [
              c.arm.a_label;
              string_of_int c.offered;
@@ -392,7 +351,7 @@ let run _ctx ~quick fmt =
     (List.map
        (fun c ->
          ( c.arm.a_label,
-           Stats.Throughput.series c.result.Driver.throughput
+           Stats.Throughput.series c.run.Capture.result.Driver.throughput
              ~until_ms:(s.duration_ms -. 1.0) () ))
        captures);
   (* The verdict: post-heal goodput against each arm's own pre-fault
@@ -409,14 +368,14 @@ let run _ctx ~quick fmt =
              else if ratio >= 0.9 then "recovered"
              else "degraded"
            in
-           [ c.arm.a_label; Report.f1 pre; Report.f1 post; pct ratio; verdict ])
+           [ c.arm.a_label; Report.f1 pre; Report.f1 post; Report.pct ratio; verdict ])
          captures);
   (* SLO with the abort-class breakdown: the same monitor as every other
      scenario, plus who-killed-it attribution. *)
   List.iter
     (fun c ->
-      let lines = Obs.Slo.report c.slo in
-      let classes = Obs.Slo.abort_classes c.slo in
+      let lines = Obs.Slo.report c.run.Capture.slo in
+      let classes = Obs.Slo.abort_classes c.run.Capture.slo in
       let breakdown =
         if classes = [] then "none"
         else
@@ -431,12 +390,8 @@ let run _ctx ~quick fmt =
      must never mint or leak tokens. *)
   List.iter
     (fun c ->
-      match Samya.Cluster.check_invariant c.cluster ~entity ~maximum:s.quota with
-      | Ok () ->
-          Format.fprintf fmt "token conservation (%s): OK@." c.arm.a_label
-      | Error reason ->
-          Format.fprintf fmt "token conservation (%s): VIOLATED: %s@."
-            c.arm.a_label reason)
+      Capture.pp_conservation fmt ~label:c.arm.a_label
+        (Samya.Cluster.check_invariant c.cluster ~entity ~maximum:s.quota))
     captures;
   (* The always-on black box: what the watchdog caught without anyone
      re-running the workload with tracing on. One bundle is materialised
@@ -448,37 +403,29 @@ let run _ctx ~quick fmt =
     ~rows:
       (List.map
          (fun c ->
-           let by_rule =
-             match Obs.Watchdog.count_by_rule c.incidents with
-             | [] -> "-"
-             | counts ->
-                 String.concat ", "
-                   (List.map
-                      (fun (rule, n) -> Printf.sprintf "%s %d" rule n)
-                      counts)
-           in
+           let run = c.run in
            [
              c.arm.a_label;
-             string_of_int (Obs.Flight_recorder.recorded c.flight);
-             string_of_int (Obs.Flight_recorder.dropped c.flight);
-             string_of_int (List.length c.incidents);
-             by_rule;
+             string_of_int (Obs.Flight_recorder.recorded run.Capture.flight);
+             string_of_int (Obs.Flight_recorder.dropped run.Capture.flight);
+             string_of_int (List.length run.Capture.incidents);
+             Capture.by_rule ~none:"-" run.Capture.incidents;
            ])
          captures);
   (match
      List.find_opt (fun c -> c.arm.a_admission && c.arm.a_retry <> None) captures
    with
   | None -> ()
-  | Some c ->
-      Format.fprintf fmt "@.black box (%s):@." c.arm.a_label;
+  | Some { arm; run = c; _ } ->
+      Format.fprintf fmt "@.black box (%s):@." arm.a_label;
       (match
-         List.find_opt (fun i -> i.Obs.Watchdog.i_rule = "slo-breach") c.incidents
+         List.find_opt (fun i -> i.Obs.Watchdog.i_rule = "slo-breach") c.Capture.incidents
        with
       | None -> Format.fprintf fmt "  no SLO breach captured@."
       | Some incident ->
           let bundle =
-            Obs.Watchdog.bundle ~hot:c.hot
-              (Obs.Flight_recorder.events c.flight)
+            Obs.Watchdog.bundle ~hot:c.Capture.hot
+              (Obs.Flight_recorder.events c.Capture.flight)
               incident
           in
           Format.fprintf fmt "  trigger: %s@." (Obs.Watchdog.incident_line incident);
@@ -501,7 +448,7 @@ let run _ctx ~quick fmt =
       (match
          List.find_opt
            (fun i -> i.Obs.Watchdog.i_rule = "breaker-trip")
-           c.incidents
+           c.Capture.incidents
        with
       | None -> ()
       | Some trip ->

@@ -43,24 +43,16 @@ val arms : arm list
 (** The four client populations, in report order. *)
 
 type capture = {
+  run : Capture.t;  (** labelled "Samya flash sale (<arm label>)" *)
   scale : scale;
   arm : arm;
   cluster : Samya.Cluster.t;
   offered : int;
-  sink : Obs.Sink.t option;  (** present when captured with [~observe] *)
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
   shed_deadline : int;
   shed_admission : int;
   shed_expired : int;
   queue_peak : int;
   breaker_trips : int;
-  flight : Obs.Flight_recorder.t;
-      (** the always-on black box (armed for every arm) *)
-  hot : Obs.Heavy_hitters.Windowed.w;  (** request-path hot-key sketch *)
-  incidents : Obs.Watchdog.incident list;
-      (** watchdog verdict over the recorder dump, default rules *)
 }
 
 val capture :

@@ -1,13 +1,4 @@
-type capture = {
-  label : string;
-  sink : Obs.Sink.t;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
-  flight : Obs.Flight_recorder.t;
-  hot : Obs.Heavy_hitters.Windowed.w;
-  incidents : Obs.Watchdog.incident list;
-}
+type capture = Capture.t
 
 (* Accept the registry spellings of the headline run too. *)
 let experiments =
@@ -56,57 +47,22 @@ let capture ctx ~quick ~builders =
   in
   Pool.map
     (fun (label, build) ->
-      let t_system = build () in
-      let sink =
-        Obs.Sink.create ~now:(fun () -> Des.Engine.now t_system.Systems.engine) ()
-      in
-      t_system.Systems.subscribe sink;
-      (* The always-on incident layer rides along, so `report` renders
-         the black box for every traceable system (no-op on baselines). *)
-      let flight = Obs.Flight_recorder.create () in
-      let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:10_000.0 () in
-      t_system.Systems.arm { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-      let slo = Obs.Slo.create () in
       let spec =
         {
           (Driver.default_spec ~client_regions:clients ~requests ~duration_ms) with
           drain_ms = 10_000.0;
-          obs = Some sink;
-          slo = Some slo;
-          flight = Some flight;
         }
       in
-      let result = Driver.run ~t_system spec in
-      {
-        label;
-        sink;
-        slo;
-        result;
-        stats = t_system.Systems.stats ();
-        flight;
-        hot;
-        incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
-      })
+      Capture.run ~label ~observe:true ~hot_k:8 ~hot_window_ms:10_000.0
+        ~slo_window_ms:10_000.0 ~audit:ignore (build ()) spec)
     builders
 
+(* The scenario experiments capture their headline arm; [engine_jobs] is
+   pinned like the other trace captures (see above). *)
 let run ctx ~quick ~experiment =
   if experiment = "gateway" then begin
-    (* The multi-entity fleet, captured through the same obs/SLO path.
-       [engine_jobs] pinned like the other trace captures (see above). *)
-    let g = Exp_gateway.capture ~engine_jobs:0 ~observe:true ~quick () in
-    Ok
-      [
-        {
-          label = "Samya gateway fleet";
-          sink = Option.get g.Exp_gateway.sink;
-          slo = g.Exp_gateway.slo;
-          result = g.Exp_gateway.result;
-          stats = g.Exp_gateway.stats;
-          flight = g.Exp_gateway.flight;
-          hot = g.Exp_gateway.hotkeys;
-          incidents = g.Exp_gateway.incidents;
-        };
-      ]
+    let c = Exp_gateway.capture ~engine_jobs:0 ~observe:true ~quick () in
+    Ok [ c.Exp_gateway.run ]
   end
   else if experiment = "retrystorm" then begin
     (* The headline resilience arm (backoff clients + the full
@@ -118,19 +74,7 @@ let run ctx ~quick ~experiment =
         Exp_retrystorm.arms
     in
     let c = Exp_retrystorm.capture ~engine_jobs:0 ~observe:true ~quick ~arm () in
-    Ok
-      [
-        {
-          label = "Samya flash sale (backoff+admission)";
-          sink = Option.get c.Exp_retrystorm.sink;
-          slo = c.Exp_retrystorm.slo;
-          result = c.Exp_retrystorm.result;
-          stats = c.Exp_retrystorm.stats;
-          flight = c.Exp_retrystorm.flight;
-          hot = c.Exp_retrystorm.hot;
-          incidents = c.Exp_retrystorm.incidents;
-        };
-      ]
+    Ok [ c.Exp_retrystorm.run ]
   end
   else if experiment = "contention" then begin
     (* The adaptive arm of the skew ramp: mechanism switches appear as
@@ -142,19 +86,7 @@ let run ctx ~quick ~experiment =
         Exp_contention.arms
     in
     let c = Exp_contention.capture ~engine_jobs:0 ~observe:true ~quick ~arm () in
-    Ok
-      [
-        {
-          label = "Samya skew ramp (adaptive)";
-          sink = Option.get c.Exp_contention.sink;
-          slo = c.Exp_contention.slo;
-          result = c.Exp_contention.result;
-          stats = c.Exp_contention.stats;
-          flight = c.Exp_contention.flight;
-          hot = c.Exp_contention.hot;
-          incidents = c.Exp_contention.incidents;
-        };
-      ]
+    Ok [ c.Exp_contention.run ]
   end
   else if experiment = "prediction" then
     Ok (capture ctx ~quick ~builders:(prediction_builders ctx))
@@ -168,20 +100,27 @@ let run ctx ~quick ~experiment =
 let trace_json captures =
   let buf = Buffer.create (1 lsl 16) in
   Obs.Export.trace_json buf
-    (List.map (fun c -> (c.label, c.sink.Obs.Sink.spans)) captures);
+    (List.map
+       (fun c -> (c.Capture.label, c.Capture.sink.Obs.Sink.spans))
+       captures);
   Buffer.contents buf
 
 let metrics_json ?meta captures =
   let buf = Buffer.create (1 lsl 14) in
   Obs.Export.metrics_json buf ?meta
-    (List.map (fun c -> (c.label, c.sink.Obs.Sink.metrics)) captures);
+    (List.map
+       (fun c -> (c.Capture.label, c.Capture.sink.Obs.Sink.metrics))
+       captures);
   Buffer.contents buf
 
 let slo_json ?meta captures =
   let buf = Buffer.create (1 lsl 12) in
   Obs.Export.slo_json buf ?meta
     (List.map
-       (fun c -> (c.label, Obs.Slo.window_ms c.slo, Obs.Slo.report c.slo))
+       (fun c ->
+         ( c.Capture.label,
+           Obs.Slo.window_ms c.Capture.slo,
+           Obs.Slo.report c.Capture.slo ))
        captures);
   Buffer.contents buf
 
@@ -192,17 +131,18 @@ let summary fmt captures =
       (List.map
          (fun c ->
            [
-             c.label;
-             string_of_int c.result.Driver.committed;
-             string_of_int (Obs.Span.event_count c.sink.Obs.Sink.spans);
-             string_of_int c.stats.Systems.messages_sent;
+             c.Capture.label;
+             string_of_int c.Capture.result.Driver.committed;
+             string_of_int (Obs.Span.event_count c.Capture.sink.Obs.Sink.spans);
+             string_of_int c.Capture.stats.Systems.messages_sent;
            ])
          captures)
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path explanation                                            *)
 
-let breakdowns c = Obs.Critical_path.analyze (Obs.Causal.events c.sink.Obs.Sink.causal)
+let breakdowns c =
+  Obs.Critical_path.analyze (Obs.Causal.events c.Capture.sink.Obs.Sink.causal)
 
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
@@ -226,10 +166,10 @@ let mechanism_bucket comp =
 let explain fmt ?(by_mechanism = false) ~slowest captures =
   List.iter
     (fun c ->
-      let events = Obs.Causal.events c.sink.Obs.Sink.causal in
+      let events = Obs.Causal.events c.Capture.sink.Obs.Sink.causal in
       let bds = Obs.Critical_path.analyze events in
       let n = List.length bds in
-      Format.fprintf fmt "@.== %s ==@." c.label;
+      Format.fprintf fmt "@.== %s ==@." c.Capture.label;
       if n = 0 then Format.fprintf fmt "no completed traced requests@."
       else begin
         let fractions = List.map Obs.Critical_path.attributed_fraction bds in
@@ -262,21 +202,22 @@ let explain fmt ?(by_mechanism = false) ~slowest captures =
                   (v +. comp.Obs.Critical_path.ms))
               b.Obs.Critical_path.components)
           bds;
-        let rows =
-          Hashtbl.fold (fun comp ms acc -> (comp, ms) :: acc) totals []
-          |> List.sort (fun (ca, ma) (cb, mb) ->
+        (* Largest first, ties by name. *)
+        let share_rows tbl =
+          Hashtbl.fold (fun name ms acc -> (name, ms) :: acc) tbl []
+          |> List.sort (fun (na, ma) (nb, mb) ->
                  let c = Float.compare mb ma in
-                 if c <> 0 then c else String.compare ca cb)
-          |> List.map (fun (comp, ms) ->
+                 if c <> 0 then c else String.compare na nb)
+          |> List.map (fun (name, ms) ->
                  [
-                   comp;
+                   name;
                    Report.ms ms;
                    (if !wall_total > 0.0 then pct (ms /. !wall_total) else "-");
                  ])
         in
         Report.table fmt ~title:"where the time went (all completed requests)"
           ~header:[ "component"; "total"; "share of wall" ]
-          ~rows;
+          ~rows:(share_rows totals);
         if by_mechanism then begin
           let buckets : (string, float) Hashtbl.t = Hashtbl.create 8 in
           Hashtbl.iter
@@ -287,18 +228,7 @@ let explain fmt ?(by_mechanism = false) ~slowest captures =
             totals;
           Report.table fmt ~title:"where the time went, by mechanism"
             ~header:[ "mechanism"; "total"; "share of wall" ]
-            ~rows:
-              (Hashtbl.fold (fun b ms acc -> (b, ms) :: acc) buckets []
-              |> List.sort (fun (ba, ma) (bb, mb) ->
-                     let c = Float.compare mb ma in
-                     if c <> 0 then c else String.compare ba bb)
-              |> List.map (fun (b, ms) ->
-                     [
-                       b;
-                       Report.ms ms;
-                       (if !wall_total > 0.0 then pct (ms /. !wall_total)
-                        else "-");
-                     ]))
+            ~rows:(share_rows buckets)
         end;
         let top = Obs.Critical_path.slowest slowest bds in
         Report.table fmt
@@ -333,9 +263,9 @@ let explain fmt ?(by_mechanism = false) ~slowest captures =
 let slo_summary fmt captures =
   List.iter
     (fun c ->
-      let lines = Obs.Slo.report c.slo in
-      Format.fprintf fmt "@.== %s (window %.0f s) ==@." c.label
-        (Obs.Slo.window_ms c.slo /. 1000.0);
+      let lines = Obs.Slo.report c.Capture.slo in
+      Format.fprintf fmt "@.== %s (window %.0f s) ==@." c.Capture.label
+        (Obs.Slo.window_ms c.Capture.slo /. 1000.0);
       Report.table fmt
         ~title:
           (if Obs.Slo.healthy lines then "SLO: healthy"

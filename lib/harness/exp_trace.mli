@@ -9,17 +9,7 @@
     captures are assembled in builder-list order, so every export is
     byte-identical for a given seed regardless of [--jobs]. *)
 
-type capture = {
-  label : string;
-  sink : Obs.Sink.t;
-  slo : Obs.Slo.t;
-  result : Driver.result;
-  stats : Systems.stats;
-  flight : Obs.Flight_recorder.t;  (** the always-on black box *)
-  hot : Obs.Heavy_hitters.Windowed.w;  (** request-path hot-key sketch *)
-  incidents : Obs.Watchdog.incident list;
-      (** watchdog verdict over the recorder dump, default rules *)
-}
+type capture = Capture.t
 
 val experiments : string list
 (** Traceable experiment ids: "headline" (plus its registry aliases),

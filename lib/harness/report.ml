@@ -22,6 +22,7 @@ let table fmt ~title ~header ~rows =
 
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
+let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
 let ms x =
   if Float.abs x >= 100.0 then Printf.sprintf "%.1f ms" x else Printf.sprintf "%.2f ms" x

@@ -22,6 +22,9 @@ val f1 : float -> string
 
 val f2 : float -> string
 
+val pct : float -> string
+(** A ratio as a percentage with two decimals, e.g. "12.50%". *)
+
 val ms : float -> string
 (** Milliseconds with adaptive precision, e.g. "1.40 ms". *)
 

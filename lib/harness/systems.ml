@@ -48,8 +48,8 @@ type facade = Facade.t = {
 
 let sites_in = Facade.sites_in
 
-let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_event
-    ~entity ~maximum () =
+let samya_cluster ?seed ?engine_jobs ?name ~config ~regions ?forecaster
+    ?on_protocol_event ~entity () =
   let hooks = Facade.samya_hooks ?on_protocol_event () in
   (* The CLI's --engine-jobs knob reaches every Samya built by the
      experiment registry through the Pool default; an explicit argument
@@ -62,15 +62,24 @@ let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_eve
       ~on_protocol_event:(Facade.protocol_event_hook hooks)
       ~obs:(Facade.obs_port hooks) ()
   in
-  Samya.Cluster.init_entity cluster ~entity ~maximum;
   let default_name =
     match config.Samya.Config.variant with
     | Samya.Config.Majority -> "Samya w/ Av.[(n+1)/2]"
     | Samya.Config.Star -> "Samya w/ Av.[*]"
   in
-  Facade.of_samya_cluster
-    ~name:(Option.value name ~default:default_name)
-    ~hooks ~regions ~entity cluster
+  ( cluster,
+    Facade.of_samya_cluster
+      ~name:(Option.value name ~default:default_name)
+      ~hooks ~regions ~entity cluster )
+
+let samya ?seed ?engine_jobs ?name ~config ~regions ?forecaster ?on_protocol_event
+    ~entity ~maximum () =
+  let cluster, facade =
+    samya_cluster ?seed ?engine_jobs ?name ~config ~regions ?forecaster
+      ?on_protocol_event ~entity ()
+  in
+  Samya.Cluster.init_entity cluster ~entity ~maximum;
+  facade
 
 (* Baseline adapters share one shape: verbs bound to the entity, stats
    from the internal network counters, subscribe = engine tracer +

@@ -64,6 +64,22 @@ val sites_in : Geonet.Region.t array -> Geonet.Region.t -> int list
 (** Indices of the sites placed in a region (re-export of
     {!Facade.sites_in}). *)
 
+val samya_cluster :
+  ?seed:int64 ->
+  ?engine_jobs:int ->
+  ?name:string ->
+  config:Samya.Config.t ->
+  regions:Geonet.Region.t array ->
+  ?forecaster:Ml.Forecaster.t ->
+  ?on_protocol_event:
+    (site:int -> entity:Samya.Types.entity -> Samya.Avantan_core.event -> unit) ->
+  entity:Samya.Types.entity ->
+  unit ->
+  Samya.Cluster.t * facade
+(** A Samya cluster with no entity registered yet, and its facade with the
+    verbs bound to [entity]: register it (or a whole fleet) on the cluster
+    before driving load. The arguments are those of {!samya}. *)
+
 val samya :
   ?seed:int64 ->
   ?engine_jobs:int ->

@@ -110,7 +110,6 @@ type t = {
   lane_capacity : int;
   mutable rings : ring array; (* index lane+1 *)
   global : ring;
-  mutable events_recorded : int;
 }
 
 let default_lane_capacity = 32_768
@@ -122,25 +121,25 @@ let create ?(lane_capacity = default_lane_capacity)
     lane_capacity;
     rings = [||];
     global = ring_create global_capacity;
-    events_recorded = 0;
   }
 
-let ring_for t lane =
-  let idx = lane + 1 in
-  if idx < 0 then invalid_arg "Flight_recorder.record: lane < -1";
+let reserve_lanes t ~lanes =
   let n = Array.length t.rings in
-  if idx >= n then begin
-    let grown = Array.init (idx + 1) (fun _ -> ring_create t.lane_capacity) in
+  if lanes + 1 > n then begin
+    let grown = Array.init (lanes + 1) (fun _ -> ring_create t.lane_capacity) in
     Array.blit t.rings 0 grown 0 n;
     t.rings <- grown
-  end;
-  t.rings.(idx)
+  end
+
+let ring_for t lane =
+  if lane < -1 then invalid_arg "Flight_recorder.record: lane < -1";
+  reserve_lanes t ~lanes:(lane + 1);
+  t.rings.(lane + 1)
 
 let record t ~lane ~ts ~kind ?(site = -1) ?(entity = "") detail =
   let r = ring_for t lane in
   let ev = { seq = r.next_seq; lane; ts; kind; site; entity; detail } in
   r.next_seq <- r.next_seq + 1;
-  t.events_recorded <- t.events_recorded + 1;
   ring_push r ev
 
 (* Move every lane ring's contents into the global buffer, in lane
@@ -165,7 +164,8 @@ let dropped t =
   Array.iter (fun r -> d := !d + r.dropped) t.rings;
   !d
 
-let recorded t = t.events_recorded
+(* Each ring counts its own lane, so concurrent lanes share no counter. *)
+let recorded t = Array.fold_left (fun acc r -> acc + r.next_seq) 0 t.rings
 
 (* One-line rendering shared by the retrystorm figure, incident bundles
    and the run report. *)

@@ -40,6 +40,12 @@ val create : ?lane_capacity:int -> ?global_capacity:int -> unit -> t
 (** Defaults: 32768 events per lane ring, 131072 in the global buffer.
     Overflow drops the oldest event and counts it in {!dropped}. *)
 
+val reserve_lanes : t -> lanes:int -> unit
+(** Allocate the rings of lanes [-1 .. lanes-1] now. {!record} grows the
+    ring array on demand, which is safe only from one domain: a sharded
+    run reserves every lane before its lane domains start (see
+    [Samya.Cluster.arm_flight]). *)
+
 val record :
   t ->
   lane:int ->

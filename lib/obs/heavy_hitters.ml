@@ -126,16 +126,18 @@ module Windowed = struct
 
   let fresh_lane () = { cur = None; cur_start = 0.0; closed = [] }
 
-  let lane_state w lane =
-    let idx = lane + 1 in
-    if idx < 0 then invalid_arg "Heavy_hitters.Windowed.observe: lane < -1";
+  let reserve_lanes w ~lanes =
     let n = Array.length w.lanes in
-    if idx >= n then begin
-      let grown = Array.init (idx + 1) (fun _ -> fresh_lane ()) in
+    if lanes + 1 > n then begin
+      let grown = Array.init (lanes + 1) (fun _ -> fresh_lane ()) in
       Array.blit w.lanes 0 grown 0 n;
       w.lanes <- grown
-    end;
-    w.lanes.(idx)
+    end
+
+  let lane_state w lane =
+    if lane < -1 then invalid_arg "Heavy_hitters.Windowed.observe: lane < -1";
+    reserve_lanes w ~lanes:(lane + 1);
+    w.lanes.(lane + 1)
 
   let aligned w now_ms =
     w.window_ms *. Float.of_int (int_of_float (now_ms /. w.window_ms))

@@ -47,6 +47,12 @@ module Windowed : sig
   type w
 
   val create : k:int -> window_ms:float -> unit -> w
+
+  val reserve_lanes : w -> lanes:int -> unit
+  (** Allocate the state of lanes [-1 .. lanes-1] now. {!observe} grows
+      it on demand, which is safe only from one domain: reserve every
+      lane before lanes observe from several domains. *)
+
   val observe : w -> lane:int -> now_ms:float -> string -> unit
 
   val windows : w -> (float * t) list

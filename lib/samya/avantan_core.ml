@@ -44,7 +44,7 @@ type env = {
 }
 
 (* What a cohort tells a prospective leader; the leader's own state is
-   stored in the same form. Policies without carried accept state leave
+   stored in the same form. Avantan[*] carries no accept state and leaves
    the accept fields at their zero values. *)
 type report = {
   contribs : Protocol.contrib list;
@@ -54,23 +54,6 @@ type report = {
 }
 
 type status = { s_accept_val : Protocol.value option; s_decision : bool }
-
-type policy = {
-  name : string;
-  seed_self : bool;
-  carry_accept_state : bool;
-  busy_cohort_rejects : bool;
-  scope_to_participants : bool;
-  abort_when_all_reported : bool;
-  discard_unheard_on_abort : bool;
-  discard_stragglers : bool;
-  cohort_recovery : [ `Rerun_leader | `Interrogate ];
-  construct_ready :
-    n_sites:int -> own:Protocol.contrib list -> reports:(int, report) Hashtbl.t -> bool;
-  salvage_on_timeout : reports:(int, report) Hashtbl.t -> bool;
-  decide_ready :
-    n_sites:int -> participants:int list -> acks:(int, unit) Hashtbl.t -> bool;
-}
 
 type phase =
   | Idle
@@ -88,44 +71,38 @@ type phase =
       replies : (int, status) Hashtbl.t;
     }
 
-(* The one stats surface for every Avantan variant: the protocol modules
-   re-export this module wholesale instead of duplicating the record. *)
-module Stats = struct
-  type stats = {
-    led_started : int;
-    led_decided : int;
-    led_aborted : int;
-    participated : int;
-    decisions_applied : int;
-    recoveries : int;
+type stats = {
+  led_started : int;
+  led_decided : int;
+  led_aborted : int;
+  participated : int;
+  decisions_applied : int;
+  recoveries : int;
+}
+
+let zero_stats =
+  {
+    led_started = 0;
+    led_decided = 0;
+    led_aborted = 0;
+    participated = 0;
+    decisions_applied = 0;
+    recoveries = 0;
   }
 
-  let zero_stats =
-    {
-      led_started = 0;
-      led_decided = 0;
-      led_aborted = 0;
-      participated = 0;
-      decisions_applied = 0;
-      recoveries = 0;
-    }
-
-  let add_stats a b =
-    {
-      led_started = a.led_started + b.led_started;
-      led_decided = a.led_decided + b.led_decided;
-      led_aborted = a.led_aborted + b.led_aborted;
-      participated = a.participated + b.participated;
-      decisions_applied = a.decisions_applied + b.decisions_applied;
-      recoveries = a.recoveries + b.recoveries;
-    }
-end
-
-include Stats
+let add_stats a b =
+  {
+    led_started = a.led_started + b.led_started;
+    led_decided = a.led_decided + b.led_decided;
+    led_aborted = a.led_aborted + b.led_aborted;
+    participated = a.participated + b.participated;
+    decisions_applied = a.decisions_applied + b.decisions_applied;
+    recoveries = a.recoveries + b.recoveries;
+  }
 
 type t = {
   env : env;
-  pol : policy;
+  variant : Config.variant;
   mutable ballot : Ballot.t;
   mutable phase : phase;
   mutable scope : string list;
@@ -133,7 +110,7 @@ type t = {
          [env.my_scope] when we lead, adopted from Election-GetValue when
          we join; [[]] on per-entity machines (and between instances) *)
   mutable exposed : bool;
-      (* exposure-based participation (carried-accept-state policies): true
+      (* exposure-based participation (Avantan[(n+1)/2]): true
          from the moment our InitVal leaves this site until the instance
          concludes; while exposed the site queues client traffic *)
   mutable in_recovery : bool;
@@ -158,10 +135,10 @@ type t = {
   mutable s_recoveries : int;
 }
 
-let create ~policy env =
+let create ~variant env =
   {
     env;
-    pol = policy;
+    variant;
     ballot = Ballot.zero env.self;
     phase = Idle;
     scope = [];
@@ -182,7 +159,8 @@ let create ~policy env =
     s_recoveries = 0;
   }
 
-let participating t = if t.pol.carry_accept_state then t.exposed else t.phase <> Idle
+let participating t =
+  match t.variant with Config.Majority -> t.exposed | Config.Star -> t.phase <> Idle
 
 let ballot t = t.ballot
 
@@ -199,18 +177,17 @@ type image = {
 }
 
 let snapshot t =
-  (* Without carried accept state the accepted value lives in the phase,
-     not in the mutable fields: only a cohort-held acceptance must survive
+  (* Under Avantan[*] the accepted value lives in the phase, not in the
+     mutable fields: only a cohort-held acceptance must survive
      a crash (an in-flight leadership attempt of our own dies with us and
      is recovered by the cohorts' own failure detectors). *)
   let accept_val, accept_num =
-    if t.pol.carry_accept_state then (t.accept_val, t.accept_num)
-    else
-      match t.phase with
-      | Cohort_accepted { bal; value; _ } | Recovering { bal; value; _ } ->
-          (Some value, bal)
-      | Idle | Leading_election _ | Leading_accept _ | Cohort_waiting _ ->
-          (None, Ballot.zero t.env.self)
+    match (t.variant, t.phase) with
+    | Config.Majority, _ -> (t.accept_val, t.accept_num)
+    | Config.Star, (Cohort_accepted { bal; value; _ } | Recovering { bal; value; _ }) ->
+        (Some value, bal)
+    | Config.Star, (Idle | Leading_election _ | Leading_accept _ | Cohort_waiting _) ->
+        (None, Ballot.zero t.env.self)
   in
   {
     i_ballot = t.ballot;
@@ -286,47 +263,51 @@ let conclude t outcome =
   t.env.persist ()
 
 let apply_decision t (value : Protocol.value) =
-  if t.pol.carry_accept_state then begin
-    let fresh =
-      match t.last_applied_origin with
-      | Some origin -> Ballot.(value.Protocol.origin > origin)
-      | None -> true
-    in
-    if fresh then begin
-      t.last_applied_origin <- Some value.Protocol.origin;
-      Hashtbl.replace t.applied value.Protocol.origin value;
-      t.s_applied <- t.s_applied + 1;
-      conclude t (Protocol.Decided value)
-    end
-    else if t.exposed || t.phase <> Idle then
-      (* A re-delivered decision for an instance we already applied still
-         releases us from any residual participation. *)
-      conclude t Protocol.Aborted
-  end
-  else if Hashtbl.mem t.applied value.Protocol.origin then begin
-    if participating t then conclude t Protocol.Aborted
-  end
-  else begin
-    Hashtbl.replace t.applied value.Protocol.origin value;
-    t.s_applied <- t.s_applied + 1;
-    conclude t (Protocol.Decided value)
-  end
+  match t.variant with
+  | Config.Majority ->
+      (* Carried accept state: instances decide in origin order. *)
+      let fresh =
+        match t.last_applied_origin with
+        | Some origin -> Ballot.(value.Protocol.origin > origin)
+        | None -> true
+      in
+      if fresh then begin
+        t.last_applied_origin <- Some value.Protocol.origin;
+        Hashtbl.replace t.applied value.Protocol.origin value;
+        t.s_applied <- t.s_applied + 1;
+        conclude t (Protocol.Decided value)
+      end
+      else if t.exposed || t.phase <> Idle then
+        (* A re-delivered decision for an instance we already applied still
+           releases us from any residual participation. *)
+        conclude t Protocol.Aborted
+  | Config.Star ->
+      if Hashtbl.mem t.applied value.Protocol.origin then begin
+        if participating t then conclude t Protocol.Aborted
+      end
+      else begin
+        Hashtbl.replace t.applied value.Protocol.origin value;
+        t.s_applied <- t.s_applied + 1;
+        conclude t (Protocol.Decided value)
+      end
 
 let my_report t =
-  if t.pol.carry_accept_state then
-    {
-      contribs = t.env.local_state ~scope:t.scope;
-      r_accept_val = t.accept_val;
-      r_accept_num = t.accept_num;
-      r_decision = t.decision;
-    }
-  else
-    {
-      contribs = t.env.local_state ~scope:t.scope;
-      r_accept_val = None;
-      r_accept_num = Ballot.zero t.env.self;
-      r_decision = false;
-    }
+  let contribs = t.env.local_state ~scope:t.scope in
+  match t.variant with
+  | Config.Majority ->
+      {
+        contribs;
+        r_accept_val = t.accept_val;
+        r_accept_num = t.accept_num;
+        r_decision = t.decision;
+      }
+  | Config.Star ->
+      {
+        contribs;
+        r_accept_val = None;
+        r_accept_num = Ballot.zero t.env.self;
+        r_decision = false;
+      }
 
 (* Fresh construction: group the collected InitVals by entity, each group's
    entries deterministically ordered by (site, entry). With a single entity
@@ -347,41 +328,76 @@ let fresh_value origin contribs_by_site =
   in
   Protocol.make_batched ~origin (gather triples)
 
-(* Value construction over the collected reports. With carried accept
-   state this is Algorithm 1 lines 15-23 (decided value > highest-ballot
-   accepted value > fresh concatenation); without it the value is always
-   the fresh concatenation of the InitVals, the leader's own included.
-   Returns the value and whether it is already known decided. *)
+(* Value construction over the collected reports. Avantan[(n+1)/2] runs
+   Algorithm 1 lines 15-23 (decided value > highest-ballot accepted value
+   > fresh concatenation); Avantan[*] always constructs the fresh
+   concatenation of the InitVals, the leader's own included. Returns the
+   value and whether it is already known decided. *)
 let construct_value t origin responses =
-  if t.pol.carry_accept_state then begin
-    let reports = Hashtbl.fold (fun _ r acc -> r :: acc) responses [] in
-    let decided = List.find_opt (fun r -> r.r_decision) reports in
-    match decided with
-    | Some { r_accept_val = Some v; _ } -> (v, true)
-    | Some { r_accept_val = None; _ } | None -> (
-        let best_accepted =
-          List.fold_left
-            (fun best r ->
-              match r.r_accept_val with
-              | None -> best
-              | Some v -> (
-                  match best with
-                  | Some (num, _) when Ballot.(num >= r.r_accept_num) -> best
-                  | Some _ | None -> Some (r.r_accept_num, v)))
-            None reports
-        in
-        match best_accepted with
-        | Some (_, v) -> (v, false)
-        | None ->
-            ( fresh_value origin
-                (Hashtbl.fold (fun site r acc -> (site, r.contribs) :: acc) responses []),
-              false ))
-  end
-  else
-    ( fresh_value origin
-        ((t.env.self, t.env.local_state ~scope:t.scope)
-        :: Hashtbl.fold (fun site r acc -> (site, r.contribs) :: acc) responses []),
-      false )
+  match t.variant with
+  | Config.Majority -> (
+      let reports = Hashtbl.fold (fun _ r acc -> r :: acc) responses [] in
+      let decided = List.find_opt (fun r -> r.r_decision) reports in
+      match decided with
+      | Some { r_accept_val = Some v; _ } -> (v, true)
+      | Some { r_accept_val = None; _ } | None -> (
+          let best_accepted =
+            List.fold_left
+              (fun best r ->
+                match r.r_accept_val with
+                | None -> best
+                | Some v -> (
+                    match best with
+                    | Some (num, _) when Ballot.(num >= r.r_accept_num) -> best
+                    | Some _ | None -> Some (r.r_accept_num, v)))
+              None reports
+          in
+          match best_accepted with
+          | Some (_, v) -> (v, false)
+          | None ->
+              ( fresh_value origin
+                  (Hashtbl.fold (fun site r acc -> (site, r.contribs) :: acc) responses []),
+                false )))
+  | Config.Star ->
+      ( fresh_value origin
+          ((t.env.self, t.env.local_state ~scope:t.scope)
+          :: Hashtbl.fold (fun site r acc -> (site, r.contribs) :: acc) responses []),
+        false )
+
+let majority_quorum t = (t.env.n_sites / 2) + 1
+
+let pooled_tokens reports =
+  Hashtbl.fold
+    (fun _ r acc ->
+      List.fold_left (fun acc (_, e) -> acc + e.Protocol.tokens_left) acc r.contribs)
+    reports 0
+
+(* May the leader construct a value from these reports now? *)
+let construct_ready t ~own reports =
+  match t.variant with
+  | Config.Majority -> Hashtbl.length reports >= majority_quorum t
+  | Config.Star ->
+      (* The leader proceeds once the pooled spare can cover its own wants. *)
+      let wanted =
+        List.fold_left (fun acc (_, e) -> acc + e.Protocol.tokens_wanted) 0 own
+      in
+      pooled_tokens reports >= wanted
+
+(* May an election that timed out still construct from the partial
+   reports? Avantan[*] does when the responders hold any spare: a partial
+   R_t keeps a minority partition serving (Fig. 3d). *)
+let salvage_on_timeout t reports =
+  match t.variant with
+  | Config.Majority -> false
+  | Config.Star -> pooled_tokens reports > 0
+
+(* Is the accepted value decided given these acknowledgements? *)
+let decide_ready t value acks =
+  match t.variant with
+  | Config.Majority -> Hashtbl.length acks >= majority_quorum t
+  | Config.Star ->
+      (* Avantan[*] needs Accept-Oks from all of R_t, not a majority. *)
+      List.for_all (fun site -> Hashtbl.mem acks site) (members value)
 
 let rec start t =
   if not (participating t) then begin
@@ -392,7 +408,10 @@ let rec start t =
        instance (recovery re-runs) keep soliciting the same entities. *)
     if t.scope = [] then t.scope <- t.env.my_scope ();
     let responses = Hashtbl.create 8 in
-    if t.pol.seed_self then Hashtbl.replace responses t.env.self (my_report t);
+    (* Majority counting includes the leader's own report; Avantan[*] adds
+       the leader's InitVal at construction time instead. *)
+    if t.variant = Config.Majority then
+      Hashtbl.replace responses t.env.self (my_report t);
     t.phase <- Leading_election { bal = t.ballot; responses };
     t.exposed <- true;
     t.env.on_event (Election_started { ballot = t.ballot; round = t.rounds });
@@ -414,18 +433,16 @@ and recover_as_leader t =
 
 and on_election_timeout t =
   match t.phase with
-  | Leading_election _ when t.pol.carry_accept_state && t.in_recovery && t.accept_val <> None
-    ->
+  | Leading_election _
+    when t.variant = Config.Majority && t.in_recovery && t.accept_val <> None ->
       (* We hold an accepted value that may have been decided elsewhere: we
          must stay blocked until a quorum tells us its fate — the paper's
          blocked-until-majority case. Retry with a higher ballot. *)
       t.exposed <- false;
       start t
-  | Leading_election { bal; responses } when t.pol.salvage_on_timeout ~reports:responses
-    ->
+  | Leading_election { bal; responses } when salvage_on_timeout t responses ->
       (* No more responders are coming, but those who answered do hold
-         spare: form R_t from them — a partial redistribution keeps the
-         minority partition serving (Fig. 3d). *)
+         spare: form R_t from them. *)
       construct t bal responses
   | Leading_election { bal; responses } ->
       (* Nothing was constructed, abort is safe; release any cohort that
@@ -435,7 +452,9 @@ and on_election_timeout t =
         (fun site _ ->
           if site <> t.env.self then t.env.send site (Protocol.Discard { bal }))
         responses;
-      if t.pol.discard_unheard_on_abort then
+      (* Avantan[*] also releases sites whose replies may still be in
+         flight: they would stay locked to this instance otherwise. *)
+      if t.variant = Config.Star then
         for node = 0 to t.env.n_sites - 1 do
           if node <> t.env.self && not (Hashtbl.mem responses node) then
             t.env.send node (Protocol.Discard { bal })
@@ -445,7 +464,7 @@ and on_election_timeout t =
 
 and construct t bal responses =
   let value, known_decided = construct_value t bal responses in
-  if t.pol.carry_accept_state then begin
+  if t.variant = Config.Majority then begin
     t.accept_val <- Some value;
     t.accept_num <- bal;
     t.decision <- known_decided;
@@ -463,8 +482,10 @@ and construct t bal responses =
     t.env.on_event
       (Value_constructed
          { ballot = bal; participants = List.length (Protocol.participants value) });
-    if t.pol.scope_to_participants then
-      (* Everyone outside R_t discards this instance. *)
+    (* Avantan[*] scopes accepts and decisions to the participant set
+       R_t: everyone outside it discards this instance. *)
+    let scoped = t.variant = Config.Star in
+    if scoped then
       for node = 0 to t.env.n_sites - 1 do
         if node <> t.env.self && not (Protocol.mem_site value node) then
           t.env.send node (Protocol.Discard { bal })
@@ -473,8 +494,7 @@ and construct t bal responses =
     Hashtbl.replace acks t.env.self ();
     t.phase <- Leading_accept { bal; value; acks };
     let accept = Protocol.Accept_value { bal; value; decision = false } in
-    if t.pol.scope_to_participants then send_members t value accept
-    else broadcast t accept;
+    if scoped then send_members t value accept else broadcast t accept;
     arm_timer t t.env.accept_timeout_ms (fun () -> on_accept_timeout t);
     try_decide t
   end
@@ -482,8 +502,7 @@ and construct t bal responses =
 and try_construct t =
   match t.phase with
   | Leading_election { bal; responses }
-    when t.pol.construct_ready ~n_sites:t.env.n_sites
-           ~own:(t.env.local_state ~scope:t.scope) ~reports:responses ->
+    when construct_ready t ~own:(t.env.local_state ~scope:t.scope) responses ->
       construct t bal responses
   | Leading_election _ | Leading_accept _ | Cohort_waiting _ | Cohort_accepted _
   | Recovering _ | Idle ->
@@ -495,7 +514,7 @@ and on_accept_timeout t =
       (* Value constructed but not yet fault-tolerant: the paper's blocking
          case. Keep re-sending until the quorum is back (with carried
          accept state a higher ballot can still supersede us). *)
-      if t.pol.scope_to_participants then
+      if t.variant = Config.Star then
         List.iter
           (fun site ->
             if site <> t.env.self && not (Hashtbl.mem acks site) then
@@ -508,21 +527,24 @@ and on_accept_timeout t =
 and try_decide t =
   match t.phase with
   | Leading_accept { bal; value; acks }
-    when t.pol.decide_ready ~n_sites:t.env.n_sites ~participants:(members value) ~acks ->
-      if t.pol.carry_accept_state then t.decision <- true;
+    when decide_ready t value acks ->
+      if t.variant = Config.Majority then t.decision <- true;
       t.s_led_decided <- t.s_led_decided + 1;
       let decision = Protocol.Decision { bal; value } in
-      if t.pol.scope_to_participants then send_members t value decision
+      if t.variant = Config.Star then send_members t value decision
       else broadcast t decision;
       apply_decision t value
   | Leading_accept _ | Leading_election _ | Cohort_waiting _ | Cohort_accepted _
   | Recovering _ | Idle ->
       ()
 
+(* Leader-failure discipline: Avantan[(n+1)/2] re-runs the leader code
+   with a higher ballot (quorum intersection adopts any possibly-decided
+   value); Avantan[*] interrogates R_t with Status-Query. *)
 and on_cohort_timeout t =
-  match t.pol.cohort_recovery with
-  | `Rerun_leader -> recover_as_leader t
-  | `Interrogate -> (
+  match t.variant with
+  | Config.Majority -> recover_as_leader t
+  | Config.Star -> (
       match t.phase with
       | Cohort_waiting _ ->
           (* Case (i): we never accepted a value, so the leader cannot have
@@ -600,7 +622,7 @@ let restore t (image : image) =
   List.iter
     (fun (origin, value) -> Hashtbl.replace t.applied origin value)
     image.i_applied;
-  if t.pol.carry_accept_state then begin
+  if t.variant = Config.Majority then begin
     t.accept_val <- image.i_accept_val;
     t.accept_num <- image.i_accept_num;
     t.decision <- image.i_decision;
@@ -640,7 +662,9 @@ let status_for t ~bal =
 let handle t ~src msg =
   match msg with
   | Protocol.Election_get_value { bal; scope } ->
-      if t.pol.busy_cohort_rejects && participating t then
+      (* A locked Avantan[*] cohort rejects other elections, so disjoint
+         subsets can redistribute concurrently. *)
+      if t.variant = Config.Star && participating t then
         t.env.send src (Protocol.Election_reject { bal = t.ballot })
       else if Ballot.(bal > t.ballot) then begin
         t.ballot <- bal;
@@ -673,7 +697,7 @@ let handle t ~src msg =
              });
         arm_timer t t.env.cohort_timeout_ms (fun () -> on_cohort_timeout t)
       end
-      else if t.pol.busy_cohort_rejects then
+      else if t.variant = Config.Star then
         t.env.send src (Protocol.Election_reject { bal = t.ballot })
   | Protocol.Election_ok_value { bal; contribs; accept_val; accept_num; decision } -> (
       match t.phase with
@@ -686,7 +710,7 @@ let handle t ~src msg =
               r_decision = decision;
             };
           try_construct t;
-          if t.pol.abort_when_all_reported then begin
+          if t.variant = Config.Star then begin
             (* Everyone answered and nothing could be pooled: waiting out
                the timer helps nobody, abort now. *)
             match t.phase with
@@ -697,18 +721,16 @@ let handle t ~src msg =
           end
       | Leading_election _ | Leading_accept _ | Cohort_waiting _ | Cohort_accepted _
       | Recovering _ | Idle ->
-          (* Straggler from a closed collection: release it. *)
-          if t.pol.discard_stragglers then t.env.send src (Protocol.Discard { bal }))
+          (* Straggler from a closed collection: Avantan[*] releases it,
+             since it would otherwise stay locked to this instance. *)
+          if t.variant = Config.Star then t.env.send src (Protocol.Discard { bal }))
   | Protocol.Election_reject { bal } ->
       (* Keep our counter ahead so the next attempt is acceptable. *)
-      if
-        (t.pol.busy_cohort_rejects || t.pol.carry_accept_state)
-        && Ballot.(bal > t.ballot)
-      then begin
+      if Ballot.(bal > t.ballot) then begin
         t.ballot <- { bal with Ballot.site = t.env.self };
         t.env.persist ();
         match t.phase with
-        | Leading_accept _ when t.pol.carry_accept_state ->
+        | Leading_accept _ when t.variant = Config.Majority ->
             (* Our accept phase was superseded behind a partition: the
                carried value may have been decided without us, so we must
                not abort — re-run leadership at a higher ballot until a
@@ -720,7 +742,7 @@ let handle t ~src msg =
             ()
       end
   | Protocol.Accept_value { bal; value; decision } ->
-      if t.pol.carry_accept_state then begin
+      if t.variant = Config.Majority then begin
         if Ballot.(bal >= t.ballot) then begin
           t.ballot <- bal;
           t.accept_val <- Some value;
@@ -775,8 +797,8 @@ let handle t ~src msg =
       | Cohort_waiting { bal = b; _ } when Ballot.equal b bal ->
           conclude t Protocol.Aborted
       | Cohort_accepted { bal = b; _ }
-        when (not t.pol.carry_accept_state) && Ballot.equal b bal ->
-          (* With carried accept state an accepted value may already be
+        when t.variant = Config.Star && Ballot.equal b bal ->
+          (* Under Avantan[(n+1)/2] an accepted value may already be
              decided elsewhere, so a Discard must not release it. *)
           conclude t Protocol.Aborted
       | Recovering { bal = b; _ } when Ballot.equal b bal -> conclude t Protocol.Aborted
@@ -784,9 +806,9 @@ let handle t ~src msg =
       | Leading_accept _ | Idle ->
           ())
   | Protocol.Status_query { bal } -> (
-      match t.pol.cohort_recovery with
-      | `Rerun_leader -> (* no interrogation machinery in this policy *) ()
-      | `Interrogate ->
+      match t.variant with
+      | Config.Majority -> (* no interrogation machinery in this variant *) ()
+      | Config.Star ->
           let { s_accept_val; s_decision } = status_for t ~bal in
           t.env.send src
             (Protocol.Status_reply

@@ -1,4 +1,4 @@
-(** The shared Avantan phase machine, parameterised by a quorum policy.
+(** The Avantan phase machine, for either of the paper's two variants.
 
     Both redistribution protocols of the paper — Avantan[(n+1)/2]
     (Algorithm 1, §4.3.1) and Avantan[*] (§4.3.2) — run the same five
@@ -8,14 +8,14 @@
       solicits the entity state of its cohorts.
     + {b ElectionOk-Value}: cohorts promise, refresh their [TokensWanted]
       from their own prediction, and reply with their InitVal (plus any
-      previously accepted value when the policy carries accept state).
-    + {b Accept-Value}: once the policy's construction quorum is met the
-      leader constructs [AcceptVal] and distributes it.
+      previously accepted value under Avantan[(n+1)/2]).
+    + {b Accept-Value}: once the construction quorum is met the leader
+      constructs [AcceptVal] and distributes it.
     + {b Accept-Ok}: cohorts acknowledge the accepted value.
-    + {b Decision}: once the policy's decision quorum acknowledges, the
-      leader decides and distributes the decision asynchronously.
+    + {b Decision}: once the decision quorum acknowledges, the leader
+      decides and distributes the decision asynchronously.
 
-    What differs between the two protocols is captured in {!policy}: the
+    The {!Config.variant} given to {!create} selects what differs: the
     construction quorum (a majority of all sites vs. any subset whose
     pooled tokens satisfy the leader), the decision quorum (majority vs.
     {e all} participants), whether accept state persists across instances
@@ -23,9 +23,16 @@
     recovery disciplines (re-running the leader code with a higher ballot
     vs. interrogating the participant set with Status-Query).
 
-    {!Avantan_majority} and {!Avantan_star} are thin instantiations; new
-    variants (flexible quorums, reconfiguration) only need a new {!policy}
-    value. *)
+    Avantan[*] details (§4.3.2): the leader stops collecting
+    ElectionOk-Values once the pooled [TokensLeft] covers its own
+    [TokensWanted], the responders plus the leader form the participant
+    set [R_t] and everyone else is told to discard the instance; a cohort
+    is locked to one instance at a time and rejects other elections; a
+    cohort that times out with no accepted value aborts unilaterally, with
+    one it interrogates [R_t] with Status-Query. Decided values are
+    applied as deltas against each site's InitVal, at most once per
+    instance, so the races this variant admits can delay tokens but never
+    mint or destroy them. *)
 
 module Ballot = Consensus.Ballot
 
@@ -88,60 +95,11 @@ type env = {
   status_retry_ms : float;  (** Status-Query retry period while blocked *)
 }
 
-(** {1 Quorum policy} *)
-
-type report = {
-  contribs : Protocol.contrib list;
-  r_accept_val : Protocol.value option;
-  r_accept_num : Ballot.t;
-  r_decision : bool;
-}
-(** What a cohort tells a prospective leader. *)
-
-type policy = {
-  name : string;
-  seed_self : bool;
-      (** count the leader's own report toward the construction quorum
-          (majority counting) rather than adding it at construction time *)
-  carry_accept_state : bool;
-      (** Paxos lineage: accepted values persist across instances, ride
-          along in election replies, and higher ballots supersede; without
-          it a cohort is locked to exactly one instance at a time *)
-  busy_cohort_rejects : bool;
-      (** a locked cohort answers Election-GetValue with Election-Reject
-          (so disjoint subsets can redistribute concurrently) *)
-  scope_to_participants : bool;
-      (** accepts/decisions go only to the value's participant set [R_t];
-          everyone else is told to discard the instance *)
-  abort_when_all_reported : bool;
-      (** once every site answered, waiting out the election timer helps
-          nobody: run the timeout logic immediately *)
-  discard_unheard_on_abort : bool;
-      (** on a phase-1 abort, also release sites whose replies may still
-          be in flight *)
-  discard_stragglers : bool;
-      (** release a cohort whose ElectionOk arrives after the collection
-          closed *)
-  cohort_recovery : [ `Rerun_leader | `Interrogate ];
-      (** leader-failure discipline: re-run the leader code with a higher
-          ballot (quorum intersection adopts any possibly-decided value)
-          vs. interrogate [R_t] with Status-Query *)
-  construct_ready :
-    n_sites:int -> own:Protocol.contrib list -> reports:(int, report) Hashtbl.t -> bool;
-      (** may the leader construct a value from these reports now? *)
-  salvage_on_timeout : reports:(int, report) Hashtbl.t -> bool;
-      (** may an election that timed out still construct from the partial
-          reports (partial [R_t] keeps a minority partition serving)? *)
-  decide_ready :
-    n_sites:int -> participants:int list -> acks:(int, unit) Hashtbl.t -> bool;
-      (** is the accepted value decided given these acknowledgements? *)
-}
-
 (** {1 The machine} *)
 
 type t
 
-val create : policy:policy -> env -> t
+val create : variant:Config.variant -> env -> t
 
 val start : t -> unit
 (** Trigger a redistribution as leader. No-op while {!participating}. *)
@@ -165,32 +123,24 @@ val snapshot : t -> image
 
 val restore : t -> image -> unit
 (** Rebuild a freshly-created machine from a durable image and resume:
-    with carried accept state a restored accepted value re-runs the leader
-    code under a higher ballot (it may have been decided); without it a
-    restored cohort acceptance re-enters [Cohort_accepted] with the
+    under Avantan[(n+1)/2] a restored accepted value re-runs the leader
+    code under a higher ballot (it may have been decided); under
+    Avantan[*] a restored cohort acceptance re-enters [Cohort_accepted] with the
     failure detector re-armed. Call once, immediately after {!create}. *)
 
-(** {1 Statistics}
+(** {1 Statistics} *)
 
-    One stats surface shared by every variant: {!Avantan_majority} and
-    {!Avantan_star} re-export {!Stats} with a single
-    [include module type of] instead of duplicating the record. *)
+type stats = {
+  led_started : int;  (** instances this site started or recovered *)
+  led_decided : int;  (** instances this site drove to decision *)
+  led_aborted : int;  (** phase-1 aborts *)
+  participated : int;  (** instances joined as cohort *)
+  decisions_applied : int;
+  recoveries : int;  (** Status-Query interrogations started (Avantan[*]) *)
+}
 
-module Stats : sig
-  type stats = {
-    led_started : int;  (** instances this site started or recovered *)
-    led_decided : int;  (** instances this site drove to decision *)
-    led_aborted : int;  (** phase-1 aborts *)
-    participated : int;  (** instances joined as cohort *)
-    decisions_applied : int;
-    recoveries : int;  (** Status-Query interrogations started (Avantan[*]) *)
-  }
+val zero_stats : stats
 
-  val zero_stats : stats
-
-  val add_stats : stats -> stats -> stats
-end
-
-include module type of struct include Stats end
+val add_stats : stats -> stats -> stats
 
 val stats : t -> stats

@@ -260,6 +260,14 @@ let heal t =
    barrier hook drains lane rings into the recorder's global buffer to
    bound per-lane memory; dumps are identical with or without it. *)
 let arm_flight t (attachment : Obs.Flight_recorder.attachment) =
+  (* Size the per-lane state before any lane runs: growing it from
+     whichever lane domain writes first races at --engine-jobs >= 2. The
+     count is the logical one the sites record under, not [lanes t]. *)
+  let _, _, lanes = Geonet.Region.lane_assignment t.regions in
+  Obs.Flight_recorder.reserve_lanes attachment.Obs.Flight_recorder.recorder ~lanes;
+  Option.iter
+    (fun w -> Obs.Heavy_hitters.Windowed.reserve_lanes w ~lanes)
+    attachment.Obs.Flight_recorder.hot;
   Obs.Flight_recorder.attach t.flight attachment;
   match t.sched with
   | Single _ -> ()

@@ -1,8 +1,8 @@
 (** Wire messages of the Avantan redistribution protocols (§4.3).
 
     Both variants share the message vocabulary; they differ in quorum rules,
-    participation and recovery, implemented in {!Avantan_majority} and
-    {!Avantan_star}. [AcceptVal] is a {e list} of per-site states — the key
+    participation and recovery, both implemented in {!Avantan_core}.
+    [AcceptVal] is a {e list} of per-site states — the key
     departure from Paxos, where the value is a single client proposal.
 
     Since the multi-entity refactor a value is a list of {e groups}, one

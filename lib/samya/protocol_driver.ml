@@ -141,9 +141,7 @@ let on_outcome t (ctx : Entity_state.t) outcome =
       ctx.core.tokens_wanted <- 0);
   t.drain ctx
 
-(* Instantiate the configured Avantan variant for one entity: both are
-   the shared {!Avantan_core} machine under different quorum policies.
-   With [restore] the fresh machine is rebuilt from a durable image and
+(* Instantiate the configured Avantan variant for one entity. With [restore] the fresh machine is rebuilt from a durable image and
    resumes any surviving acceptance (crash-amnesia recovery). *)
 let attach t ?restore (ctx : Entity_state.t) =
   let env =
@@ -181,12 +179,7 @@ let attach t ?restore (ctx : Entity_state.t) =
       status_retry_ms = t.config.Config.status_retry_ms;
     }
   in
-  let policy =
-    match t.config.Config.variant with
-    | Config.Majority -> Avantan_majority.policy
-    | Config.Star -> Avantan_star.policy
-  in
-  let av = Avantan_core.create ~policy env in
+  let av = Avantan_core.create ~variant:t.config.Config.variant env in
   ctx.av <- Some av;
   match restore with Some image -> Avantan_core.restore av image | None -> ()
 
@@ -356,13 +349,8 @@ let make_batch t =
            status_retry_ms = t.config.Config.status_retry_ms;
          }
        in
-       let policy =
-         match t.config.Config.variant with
-         | Config.Majority -> Avantan_majority.policy
-         | Config.Star -> Avantan_star.policy
-       in
        {
-         b_av = Avantan_core.create ~policy env;
+         b_av = Avantan_core.create ~variant:t.config.Config.variant env;
          pending = Queue.create ();
          pending_set = Hashtbl.create 64;
          exposed_set = Hashtbl.create 64;

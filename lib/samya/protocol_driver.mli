@@ -1,6 +1,5 @@
 (** The protocol-facing module of a site: instantiates the configured
-    Avantan variant per entity (both are the shared {!Avantan_core}
-    machine under different quorum policies), applies decided values to
+    Avantan variant per entity ({!Avantan_core}), applies decided values to
     the local pool, and owns the recovery path over the bounded decided
     log.
 

@@ -1,5 +1,5 @@
-(* Tests for the consensus substrate: ballots, single-decree Paxos,
-   multi-Paxos and Raft (election safety, log safety, partitions). *)
+(* Tests for the consensus substrate: ballots, multi-Paxos and Raft
+   (election safety, log safety, partitions). *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -15,86 +15,6 @@ let ballot_ordering () =
   check bool "num dominates" true (c > b);
   check bool "next increments" true (next a ~site:5 > a);
   check bool "equal" true (equal a a)
-
-(* ------------------------------------------------------------------ *)
-(* Paxos harness *)
-
-type 'v paxos_cluster = {
-  engine : Des.Engine.t;
-  network : 'v Consensus.Paxos.msg Geonet.Network.t;
-  nodes : 'v Consensus.Paxos.t array;
-  decided : (int * 'v) list ref;
-}
-
-let paxos_cluster ?(n = 5) ?(drop = 0.0) ~seed () =
-  let engine = Des.Engine.create ~seed () in
-  let regions = Array.of_list Geonet.Region.default_five in
-  let regions = Array.init n (fun i -> regions.(i mod 5)) in
-  let network = Geonet.Network.create engine ~regions ~drop_probability:drop () in
-  let decided = ref [] in
-  let membership = List.init n (fun i -> i) in
-  let nodes =
-    Array.init n (fun id ->
-        Consensus.Paxos.create ~engine ~id ~nodes:membership
-          ~send:(fun dst msg -> Geonet.Network.send network ~src:id ~dst msg)
-          ~on_decide:(fun v -> decided := (id, v) :: !decided)
-          ())
-  in
-  Array.iteri
-    (fun id node ->
-      Geonet.Network.register network ~node:id (fun envelope ->
-          Consensus.Paxos.handle node ~src:envelope.Geonet.Network.src
-            envelope.Geonet.Network.payload))
-    nodes;
-  { engine; network; nodes; decided }
-
-let paxos_simple_agreement () =
-  let cluster = paxos_cluster ~seed:1L () in
-  Consensus.Paxos.propose cluster.nodes.(0) "v0";
-  Des.Engine.run cluster.engine ~until_ms:10_000.0;
-  check int "all five decided" 5 (List.length !(cluster.decided));
-  List.iter (fun (_, v) -> check Alcotest.string "same value" "v0" v) !(cluster.decided)
-
-let paxos_dueling_proposers () =
-  let cluster = paxos_cluster ~seed:2L () in
-  Consensus.Paxos.propose cluster.nodes.(0) "a";
-  Consensus.Paxos.propose cluster.nodes.(4) "b";
-  Des.Engine.run cluster.engine ~until_ms:30_000.0;
-  let values = List.map snd !(cluster.decided) |> List.sort_uniq compare in
-  check int "exactly one value chosen" 1 (List.length values);
-  check bool "everyone decided" true (List.length !(cluster.decided) >= 3)
-
-let paxos_agreement_under_drops () =
-  (* 20% loss: retries must still converge on a single value. *)
-  let cluster = paxos_cluster ~seed:3L ~drop:0.2 () in
-  Consensus.Paxos.propose cluster.nodes.(1) "x";
-  Consensus.Paxos.propose cluster.nodes.(3) "y";
-  Des.Engine.run cluster.engine ~until_ms:120_000.0;
-  let values = List.map snd !(cluster.decided) |> List.sort_uniq compare in
-  check int "single value despite loss" 1 (List.length values)
-
-let paxos_minority_cannot_decide () =
-  let cluster = paxos_cluster ~seed:4L () in
-  (* Partition the proposer with just one peer. *)
-  Geonet.Network.set_partition cluster.network [ [ 0; 1 ]; [ 2; 3; 4 ] ];
-  Consensus.Paxos.propose cluster.nodes.(0) "minority";
-  Des.Engine.run cluster.engine ~until_ms:5_000.0;
-  check int "no decision in minority" 0 (List.length !(cluster.decided));
-  (* Heal: the retry loop should finish the round. *)
-  Geonet.Network.clear_partition cluster.network;
-  Des.Engine.run cluster.engine ~until_ms:30_000.0;
-  check bool "decides after heal" true (List.length !(cluster.decided) >= 3)
-
-let paxos_value_survives_proposer_restart () =
-  let cluster = paxos_cluster ~seed:5L () in
-  Consensus.Paxos.propose cluster.nodes.(0) "persist";
-  Des.Engine.run cluster.engine ~until_ms:10_000.0;
-  Consensus.Paxos.restart cluster.nodes.(2);
-  (* A later competing proposal must re-discover the decided value. *)
-  Consensus.Paxos.propose cluster.nodes.(2) "usurper";
-  Des.Engine.run cluster.engine ~until_ms:30_000.0;
-  let values = List.map snd !(cluster.decided) |> List.sort_uniq compare in
-  check (Alcotest.list Alcotest.string) "original value wins" [ "persist" ] values
 
 (* ------------------------------------------------------------------ *)
 (* Multi-Paxos *)
@@ -339,12 +259,6 @@ let raft_minority_partition_cannot_commit () =
 let suite =
   [
     Alcotest.test_case "ballot: ordering" `Quick ballot_ordering;
-    Alcotest.test_case "paxos: simple agreement" `Quick paxos_simple_agreement;
-    Alcotest.test_case "paxos: dueling proposers" `Quick paxos_dueling_proposers;
-    Alcotest.test_case "paxos: agreement under drops" `Quick paxos_agreement_under_drops;
-    Alcotest.test_case "paxos: minority blocks" `Quick paxos_minority_cannot_decide;
-    Alcotest.test_case "paxos: decided value survives restart" `Quick
-      paxos_value_survives_proposer_restart;
     Alcotest.test_case "multipaxos: ordered commits" `Quick multipaxos_commits_in_order;
     Alcotest.test_case "multipaxos: follower rejects" `Quick
       multipaxos_follower_submission_rejected;

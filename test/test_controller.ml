@@ -343,13 +343,14 @@ let contention_engine_jobs_identical () =
   in
   let fingerprint engine_jobs =
     let c = Harness.Exp_contention.capture ~engine_jobs ~quick:true ~arm () in
-    let r = c.Harness.Exp_contention.result in
+    let run = c.Harness.Exp_contention.run in
+    let r = run.Harness.Capture.result in
     Format.asprintf "%d/%d/%d/%d p50=%.4f borrows=%d switches=%d final=%s %a slo=%a"
       r.Harness.Driver.committed r.Harness.Driver.rejected
       r.Harness.Driver.timed_out r.Harness.Driver.no_reply
       (Harness.Driver.percentile r 50.0)
-      c.Harness.Exp_contention.stats.Harness.Systems.borrows
-      c.Harness.Exp_contention.stats.Harness.Systems.mechanism_switches
+      run.Harness.Capture.stats.Harness.Systems.borrows
+      run.Harness.Capture.stats.Harness.Systems.mechanism_switches
       c.Harness.Exp_contention.final_mechanism
       (Format.pp_print_list (fun fmt (v : Harness.Exp_contention.phase_row) ->
            Format.fprintf fmt "%s:%.3f/%.4f" v.Harness.Exp_contention.v_name
@@ -358,7 +359,7 @@ let contention_engine_jobs_identical () =
       (Format.pp_print_list (fun fmt (l : Obs.Slo.report_line) ->
            Format.fprintf fmt "%s:%d/%d" l.Obs.Slo.name l.Obs.Slo.violations
              l.Obs.Slo.windows))
-      (Obs.Slo.report c.Harness.Exp_contention.slo)
+      (Obs.Slo.report run.Harness.Capture.slo)
   in
   let one = fingerprint 1 in
   check Alcotest.string "engine-jobs 2 = 1" one (fingerprint 2);

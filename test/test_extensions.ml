@@ -1,46 +1,9 @@
-(* Tests for the extension modules: Holt-Winters forecasting, the
-   pluggable reallocation policies, the hierarchical org tracker, and the
-   CRDT counter comparison. *)
+(* Tests for the extension modules: the pluggable reallocation policies
+   and the hierarchical org tracker. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
-
-(* ------------------------------------------------------------------ *)
-(* Holt-Winters *)
-
-let hw_learns_seasonality () =
-  let period = 12 in
-  let series =
-    Array.init 240 (fun i ->
-        100.0 +. (0.5 *. float_of_int i)
-        +. (20.0 *. sin (2.0 *. Float.pi *. float_of_int i /. float_of_int period)))
-  in
-  let train, test = Stats.Series.split_at_fraction 0.8 series in
-  let model = Ml.Holt_winters.fit ~period train in
-  let hw = Ml.Holt_winters.forecaster model in
-  let rw = Ml.Random_walk.forecaster () in
-  let mae_hw = Ml.Forecaster.rolling_mae hw ~train ~test in
-  let mae_rw = Ml.Forecaster.rolling_mae rw ~train ~test in
-  check bool
-    (Printf.sprintf "hw %.2f < rw %.2f on seasonal+trend data" mae_hw mae_rw)
-    true (mae_hw < mae_rw)
-
-let hw_components_sane () =
-  let period = 4 in
-  let series = Array.init 40 (fun i -> [| 10.0; 20.0; 30.0; 20.0 |].(i mod 4)) in
-  let model = Ml.Holt_winters.fit ~period series in
-  let level, trend, seasonal = Ml.Holt_winters.components model in
-  check bool "level near the mean" true (Float.abs (level -. 20.0) < 3.0);
-  check bool "no spurious trend" true (Float.abs trend < 0.5);
-  check int "seasonal length" period (Array.length seasonal)
-
-let hw_input_validation () =
-  Alcotest.check_raises "short series"
-    (Invalid_argument "Holt_winters.fit: need at least two periods") (fun () ->
-      ignore (Ml.Holt_winters.fit ~period:10 (Array.make 15 1.0)));
-  Alcotest.check_raises "bad alpha" (Invalid_argument "Holt_winters: alpha outside (0,1)")
-    (fun () -> ignore (Ml.Holt_winters.fit ~alpha:1.5 ~period:2 (Array.make 10 1.0)))
 
 (* ------------------------------------------------------------------ *)
 (* Reallocation policies *)
@@ -200,61 +163,8 @@ let org_release_returns_every_level () =
   check int "team net" 25 (Hierarchy.Org.usage org team);
   check int "root net" 25 (Hierarchy.Org.usage org root)
 
-(* ------------------------------------------------------------------ *)
-(* CRDT counter *)
-
-let crdt_converges () =
-  let crdt = Baselines.Crdt_counter.create ~seed:3L () in
-  Baselines.Crdt_counter.init_entity crdt ~entity:"VM" ~maximum:1_000_000;
-  let engine = Baselines.Crdt_counter.engine crdt in
-  let regions = Array.of_list Geonet.Region.default_five in
-  Array.iter
-    (fun region ->
-      for _ = 1 to 100 do
-        Baselines.Crdt_counter.submit crdt ~region
-          (Samya.Types.Acquire { entity = "VM"; amount = 1; deadline_ms = infinity })
-          ~reply:(fun _ -> ())
-      done)
-    regions;
-  Des.Engine.run engine ~until_ms:30_000.0;
-  check int "converged total" 500 (Baselines.Crdt_counter.total_acquired crdt ~entity:"VM");
-  (* After gossip settles, a read anywhere sees the full total. *)
-  let seen = ref None in
-  Baselines.Crdt_counter.submit crdt ~region:Geonet.Region.Us_west1
-    (Samya.Types.Read { entity = "VM"; deadline_ms = infinity })
-    ~reply:(fun r -> seen := Some r);
-  Des.Engine.run engine ~until_ms:35_000.0;
-  check bool "read sees converged availability" true
-    (!seen = Some (Samya.Types.Read_result { tokens_available = 999_500 }))
-
-let crdt_cannot_enforce_the_constraint () =
-  (* Five regions race for a limit of 100: each local view says "fine"
-     until gossip arrives, so the converged total overshoots. Samya under
-     the same race never does (its qcheck invariants); this is the §2
-     comparison made executable. *)
-  let crdt = Baselines.Crdt_counter.create ~seed:3L () in
-  Baselines.Crdt_counter.init_entity crdt ~entity:"VM" ~maximum:100;
-  let engine = Baselines.Crdt_counter.engine crdt in
-  let regions = Array.of_list Geonet.Region.default_five in
-  Array.iter
-    (fun region ->
-      for _ = 1 to 80 do
-        Baselines.Crdt_counter.submit crdt ~region
-          (Samya.Types.Acquire { entity = "VM"; amount = 1; deadline_ms = infinity })
-          ~reply:(fun _ -> ())
-      done)
-    regions;
-  Des.Engine.run engine ~until_ms:30_000.0;
-  let overshoot = Baselines.Crdt_counter.overshoot crdt ~entity:"VM" in
-  check bool
-    (Printf.sprintf "constraint violated by %d tokens" overshoot)
-    true (overshoot > 0)
-
 let suite =
   [
-    Alcotest.test_case "holt-winters: beats RW on seasonal data" `Quick hw_learns_seasonality;
-    Alcotest.test_case "holt-winters: components" `Quick hw_components_sane;
-    Alcotest.test_case "holt-winters: validation" `Quick hw_input_validation;
     QCheck_alcotest.to_alcotest all_policies_conserve;
     QCheck_alcotest.to_alcotest max_requests_satisfies_at_least_as_many;
     Alcotest.test_case "policy: proportional scales" `Quick proportional_scales;
@@ -266,7 +176,4 @@ let suite =
     Alcotest.test_case "org: team limit binds with compensation" `Quick org_team_limit_binds;
     Alcotest.test_case "org: release returns every level" `Quick
       org_release_returns_every_level;
-    Alcotest.test_case "crdt: converges" `Quick crdt_converges;
-    Alcotest.test_case "crdt: cannot enforce Equation 1" `Quick
-      crdt_cannot_enforce_the_constraint;
   ]

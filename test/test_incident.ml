@@ -76,6 +76,34 @@ let recorder_ring_overflow () =
   check (list string) "newest survive in order" [ "n6"; "n7"; "n8"; "n9" ]
     retained
 
+let recorder_concurrent_lanes () =
+  (* Two lane domains recording at once, as at --engine-jobs 2. Arming
+     through the cluster sizes every lane's state before any lane runs,
+     so no lane's events are lost and the recorded count is exact. The
+     cluster runs on one engine but its sites record under five logical
+     lanes, which is what arming must size for. *)
+  let cluster =
+    Samya.Cluster.create ~config:Samya.Config.default
+      ~regions:(Array.of_list Geonet.Region.default_five) ()
+  in
+  let recorder = Obs.Flight_recorder.create () in
+  let hot = Obs.Heavy_hitters.Windowed.create ~k:4 ~window_ms:1_000.0 () in
+  Samya.Cluster.arm_flight cluster { Obs.Flight_recorder.recorder; hot = Some hot };
+  let per_lane = 20_000 in
+  let work lane () =
+    for i = 1 to per_lane do
+      let ts = float_of_int i in
+      Obs.Flight_recorder.record recorder ~lane ~ts ~kind:Obs.Flight_recorder.Note "x";
+      Obs.Heavy_hitters.Windowed.observe hot ~lane ~now_ms:ts "k"
+    done
+  in
+  List.map (fun lane -> Domain.spawn (work lane)) [ 0; 1 ] |> List.iter Domain.join;
+  let total = 2 * per_lane in
+  check int "recorded" total (Obs.Flight_recorder.recorded recorder);
+  check int "events" total (List.length (Obs.Flight_recorder.events recorder));
+  check int "sketch total" total
+    (Obs.Heavy_hitters.total (Obs.Heavy_hitters.Windowed.cumulative hot))
+
 let port_disarmed_is_noop () =
   let port = Obs.Flight_recorder.port () in
   check bool "disarmed tap" true (Obs.Flight_recorder.tap port = None);
@@ -285,20 +313,20 @@ let retrystorm_flight_recorder_identical () =
       Harness.Exp_retrystorm.arms
   in
   let snapshot engine_jobs =
-    let c = Harness.Exp_retrystorm.capture ~engine_jobs ~quick:true ~arm () in
+    let run = (Harness.Exp_retrystorm.capture ~engine_jobs ~quick:true ~arm ()).run in
     let dump =
       String.concat "\n"
         (List.map Obs.Flight_recorder.line
-           (Obs.Flight_recorder.events c.Harness.Exp_retrystorm.flight))
+           (Obs.Flight_recorder.events run.Harness.Capture.flight))
     in
     let incidents =
       String.concat "\n"
-        (List.map Obs.Watchdog.incident_line c.Harness.Exp_retrystorm.incidents)
+        (List.map Obs.Watchdog.incident_line run.Harness.Capture.incidents)
     in
     let hot =
       List.map
         (fun (start, sk) -> (start, Obs.Heavy_hitters.dump sk))
-        (Obs.Heavy_hitters.Windowed.windows c.Harness.Exp_retrystorm.hot)
+        (Obs.Heavy_hitters.Windowed.windows run.Harness.Capture.hot)
     in
     (dump, incidents, hot)
   in
@@ -331,6 +359,8 @@ let suite =
     test_case "recorder: ring overflow drops oldest" `Quick
       recorder_ring_overflow;
     test_case "recorder: port arm/disarm" `Quick port_disarmed_is_noop;
+    test_case "recorder: concurrent lanes lose nothing" `Quick
+      recorder_concurrent_lanes;
     qcheck merge_commutative;
     qcheck merge_associative;
     qcheck merge_lossless_on_disjoint;

@@ -698,7 +698,8 @@ let retrystorm_engine_jobs_identical () =
   in
   let fingerprint engine_jobs =
     let c = Harness.Exp_retrystorm.capture ~engine_jobs ~quick:true ~arm () in
-    let r = c.Harness.Exp_retrystorm.result in
+    let run = c.Harness.Exp_retrystorm.run in
+    let r = run.Harness.Capture.result in
     let pre, post, ratio = Harness.Exp_retrystorm.recovery c in
     Format.asprintf "%d/%d/%d/%d/%d/%d p50=%.4f pre=%.3f post=%.3f r=%.5f slo=%a"
       r.Harness.Driver.committed r.Harness.Driver.rejected
@@ -709,7 +710,7 @@ let retrystorm_engine_jobs_identical () =
       (Format.pp_print_list (fun fmt (l : Obs.Slo.report_line) ->
            Format.fprintf fmt "%s:%d/%d" l.Obs.Slo.name l.Obs.Slo.violations
              l.Obs.Slo.windows))
-      (Obs.Slo.report c.Harness.Exp_retrystorm.slo)
+      (Obs.Slo.report run.Harness.Capture.slo)
   in
   let one = fingerprint 1 in
   check bool "produced data" true (String.length one > 40);

@@ -306,39 +306,9 @@ let explain_deterministic_and_attributed () =
     let captures =
       Harness.Pool.map
         (fun (label, build) ->
-          let t_system = build () in
-          let sink =
-            Obs.Sink.create
-              ~now:(fun () -> Des.Engine.now t_system.Harness.Systems.engine)
-              ()
-          in
-          t_system.Harness.Systems.subscribe sink;
-          let flight = Obs.Flight_recorder.create () in
-          let hot = Obs.Heavy_hitters.Windowed.create ~k:8 ~window_ms:10_000.0 () in
-          t_system.Harness.Systems.arm
-            { Obs.Flight_recorder.recorder = flight; hot = Some hot };
-          let slo = Obs.Slo.create () in
-          let spec =
-            {
-              (Harness.Driver.default_spec ~client_regions:regions ~requests
-                 ~duration_ms)
-              with
-              Harness.Driver.obs = Some sink;
-              slo = Some slo;
-              flight = Some flight;
-            }
-          in
-          let result = Harness.Driver.run ~t_system spec in
-          {
-            Harness.Exp_trace.label;
-            sink;
-            slo;
-            result;
-            stats = t_system.Harness.Systems.stats ();
-            flight;
-            hot;
-            incidents = Obs.Watchdog.detect (Obs.Flight_recorder.events flight);
-          })
+          Harness.Capture.run ~label ~observe:true ~hot_k:8 ~hot_window_ms:10_000.0
+            ~slo_window_ms:10_000.0 ~audit:ignore (build ())
+            (Harness.Driver.default_spec ~client_regions:regions ~requests ~duration_ms))
         builders
     in
     let explain =
@@ -356,14 +326,14 @@ let explain_deterministic_and_attributed () =
     (fun c ->
       let bds = Harness.Exp_trace.breakdowns c in
       check bool
-        (c.Harness.Exp_trace.label ^ ": has completed traced requests")
+        (c.Harness.Capture.label ^ ": has completed traced requests")
         true (bds <> []);
       List.iter
         (fun b ->
           let f = Obs.Critical_path.attributed_fraction b in
           if f < 0.95 then
             Alcotest.failf "%s trace %d: only %.1f%% of %.2f ms attributed"
-              c.Harness.Exp_trace.label b.Obs.Critical_path.trace (100.0 *. f)
+              c.Harness.Capture.label b.Obs.Critical_path.trace (100.0 *. f)
               b.Obs.Critical_path.wall_ms)
         bds)
     captures
